@@ -1,8 +1,8 @@
 """Extension — batched (stacked) Sinkhorn vs per-problem loop solves.
 
 The redesigned solver stacks the same-shape OT problems behind a DIM step
-into one ``(B, n, m)`` tensor and runs every dual sweep as a single
-backend-dispatched ``logsumexp`` over the stack, with per-problem
+into one ``(B, n, m)`` tensor and runs every dual sweep over the whole
+stack (two backend ``matmul`` matrix–vector products), with per-problem
 convergence masking and active-set compaction (a problem leaves the
 working stack the sweep it converges).  The contract is *exact* parity —
 values, duals, and iteration counts match the loop solver to the bit on

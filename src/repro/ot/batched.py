@@ -1,37 +1,48 @@
-"""Batched log-domain Sinkhorn over a stacked 3-D cost tensor.
+"""Batched Sinkhorn over a stacked 3-D cost tensor.
 
-The paper's scalability claim rests on GPU-batched Sinkhorn iterations; the
-loop solver in :mod:`repro.ot.sinkhorn` answers one ``(n, m)`` problem at a
-time, so a DIM step that needs the cross and self-term plans for a batch
-pays for serialized ``logsumexp`` sweeps.  :func:`sinkhorn_batched` stacks
-``B`` problems into one ``(B, n, m)`` cost tensor and runs *every* dual
-sweep as a single backend-dispatched ``logsumexp`` over the stack — with
-NumPy that is one BLAS-grade vectorised reduction instead of ``B`` small
-ones, and with an array-API backend (:mod:`repro.tensor.backend`) the same
-sweep lands on whatever device the namespace targets.
+The paper's scalability claim rests on GPU-batched Sinkhorn iterations; a
+DIM step needs the cross and self-term plans for a batch, and solving them
+one ``(n, m)`` problem at a time serialises the sweeps.
+:func:`sinkhorn_batched` stacks ``B`` problems into one ``(B, n, m)`` cost
+tensor and runs every dual sweep over the whole stack.
 
-Parity with the loop solver is exact by construction: the stacked update
+The sweep is the log-stabilised scaling form of Sinkhorn (the
+"absorption" variant).  Sweep 1 is the log-domain update
 
     f_k = log a_k − logsumexp(−C_k/λ + g_k[None, :], axis over m)
     g_k = log b_k − logsumexp(−C_k/λ + f_k[:, None], axis over n)
 
-performs the same arithmetic, in the same order, as ``B`` independent loop
-solves, and per-problem convergence *masking* freezes a problem's duals on
-the exact iteration the loop solver would have broken out — so values,
-duals, and iteration counts agree even when problems in the same stack
-converge at different times.  The parity tests pin this to 1e-8 (and in
-practice it is bit-exact on the NumPy backend).
+from ``init`` (or zeros).  It fixes the stabilised kernel
+``K_k = exp(−C_k/λ + f_k ⊕ g_k)``, whose columns sum to ``b_k``, and every
+later sweep is two backend ``matmul`` matrix–vector products over the
+stack, ``u = a / (K v)`` and ``v = b / (Kᵀ u)``.  The duals
+``(f + log u, g + log v)`` are exactly the log-domain iterates, so the
+solve converges in the same sweeps to the same plan, up to rounding.
+The convergence check is the plan's L1 marginal violation read from those
+products: ``K v`` is also the next sweep's product, so the check costs no
+pass over the stack.  A problem whose scalings leave ``[e^-30, e^30]``
+has them absorbed into its duals and its kernel rebuilt (counted as
+``sinkhorn.absorptions``); if a scaling is zero or non-finite, that
+half-sweep is redone in the log domain.
+
+The loop solver :func:`repro.ot.sinkhorn` runs the same kernel as a
+one-problem stack.  Every decision in the kernel (convergence, freezing,
+absorption) is taken per problem, so a problem's arithmetic does not depend
+on the rest of its stack: the parity tests find stacked and loop solves
+bit-identical on NumPy, even when problems in one stack converge at
+different times.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from ..obs import get_recorder
-from ..tensor import ops
+from ..tensor import get_backend, ops
 from .sinkhorn import (
     SinkhornConfig,
     SinkhornResult,
@@ -113,9 +124,172 @@ def _validate_stacked_marginal(
     return weights
 
 
+def _validate_stacked_duals(
+    init: Tuple[np.ndarray, np.ndarray], batch: int, n: int, m: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Copy warm-start duals, rejecting wrong shapes and non-finite entries.
+
+    A NaN dual would poison its problem for every sweep and come back as a
+    NaN plan and value, so it is refused up front with the offending
+    problem and index named.
+    """
+    f0, g0 = init
+    f = np.asarray(f0, dtype=np.float64).copy()
+    g = np.asarray(g0, dtype=np.float64).copy()
+    if f.shape != (batch, n) or g.shape != (batch, m):
+        raise ValueError(
+            f"init duals must have shapes ({batch}, {n}) and "
+            f"({batch}, {m}), got {f.shape} and {g.shape}"
+        )
+    for name, dual in (("f", f), ("g", g)):
+        finite = np.isfinite(dual)
+        if not finite.all():
+            k, index = np.unravel_index(int(np.argmin(finite)), dual.shape)
+            raise ValueError(
+                f"init dual {name!r} must be finite: {name}[{k}][{index}] = "
+                f"{dual[k, index]}"
+            )
+    return f, g
+
+
 def _logsumexp(stack: np.ndarray, axis: int) -> np.ndarray:
     """Backend-dispatched, profiler-visible logsumexp over the stack."""
     return ops.logsumexp(stack, axis=axis).data
+
+
+# A problem is re-stabilised once one of its scalings leaves
+# [e^-30, e^30]: its log scalings move into the duals and its kernel is
+# rebuilt, so K v and Kᵀ u stay far from overflow and underflow.
+_SCALING_LOW = math.exp(-30.0)
+_SCALING_HIGH = math.exp(30.0)
+
+
+def _out_of_range(scaling: np.ndarray) -> Optional[np.ndarray]:
+    """Mask of problems with a scaling outside the stable range, else None.
+
+    NaN fails both comparisons, so a NaN scaling counts as out of range.
+    """
+    if scaling.min() >= _SCALING_LOW and scaling.max() <= _SCALING_HIGH:
+        return None
+    return ~((scaling >= _SCALING_LOW) & (scaling <= _SCALING_HIGH)).all(axis=1)
+
+
+def _restabilise(bad, side, neg_cost, log_a, log_b, f, g, u, v) -> np.ndarray:
+    """Absorb the scalings of problems ``bad`` into their duals.
+
+    ``f``/``g`` take ``log u``/``log v`` and ``u``/``v`` are reset to 1, in
+    place.  Where the side just updated (``"f"`` for ``u``, ``"g"`` for
+    ``v``) has a zero, infinite or NaN scaling, that half-sweep is redone
+    in the log domain instead.  Returns the problems' rebuilt kernels.
+    """
+    nc = neg_cost[bad]
+    f_bad = f[bad] + np.log(u[bad])
+    g_bad = g[bad] + np.log(v[bad])
+    if side == "f":
+        redo = ~np.isfinite(f_bad).all(axis=1)
+        if redo.any():
+            f_bad[redo] = log_a[bad][redo] - _logsumexp(
+                nc[redo] + g_bad[redo][:, None, :], axis=2
+            )
+    else:
+        redo = ~np.isfinite(g_bad).all(axis=1)
+        if redo.any():
+            g_bad[redo] = log_b[bad][redo] - _logsumexp(
+                nc[redo] + f_bad[redo][:, :, None], axis=1
+            )
+    f[bad] = f_bad
+    g[bad] = g_bad
+    u[bad] = 1.0
+    v[bad] = 1.0
+    return np.exp(nc + f_bad[:, :, None] + g_bad[:, None, :])
+
+
+# A scaling that divides by zero or overflows is expected: it marks its
+# half-sweep for a log-domain redo.
+@np.errstate(divide="ignore", over="ignore")
+def _sweep_stack(
+    neg_cost: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    f: np.ndarray,
+    g: np.ndarray,
+    max_iter: int,
+    tol: float,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Run the Sinkhorn sweeps of a ``(B, n, m)`` stack, updating ``f``/``g``.
+
+    Sweep 1 is the log-domain update from the given duals.  Every later
+    sweep is the same update in scaling form on the stabilised kernel
+    ``K = exp(−C/λ + f ⊕ g)``: ``u = a / (K v)``, ``v = b / (Kᵀ u)``, two
+    backend ``matmul`` matrix–vector products.  The duals ``(f + log u,
+    g + log v)`` are the log-domain iterates, so iteration counts and
+    plans match the log-domain loop up to rounding.  The convergence check
+    is the plan's L1 marginal violation, ``Σ|u ⊙ K v − a| + Σ|v ⊙ Kᵀ u −
+    b|``; its ``K v`` is the next sweep's product, so checking is free.
+
+    A problem whose violation drops below ``tol`` has its duals frozen and
+    leaves the working stack.  Every decision is per problem, so a
+    problem's arithmetic does not depend on the rest of its stack.
+    Returns ``(iterations, converged, absorptions)``.
+    """
+    bk = get_backend()
+
+    def matvec(kernel, x):  # K x over the stack: (B, n, m), (B, m) -> (B, n)
+        return bk.to_numpy(bk.matmul(kernel, x[:, :, None]))[:, :, 0]
+
+    def rmatvec(kernel, y):  # Kᵀ y over the stack: (B, n, m), (B, n) -> (B, m)
+        return bk.to_numpy(bk.matmul(y[:, None, :], kernel))[:, 0, :]
+
+    batch = neg_cost.shape[0]
+    iterations = np.full(batch, max_iter, dtype=np.int64)
+    converged = np.zeros(batch, dtype=bool)
+    absorptions = 0
+
+    # Active-set iteration: problems leave the working stack the sweep
+    # they converge, so total work tracks sum-of-iterations (like B loop
+    # solves) instead of max-iterations × B.
+    alive = np.arange(batch)  # indices into the original stack
+    nc, la, lb, a_, b_ = neg_cost, np.log(a), np.log(b), a, b
+    f_ = la - _logsumexp(nc + g[:, None, :], axis=2)
+    g_ = lb - _logsumexp(nc + f_[:, :, None], axis=1)
+    kernel = np.exp(nc + f_[:, :, None] + g_[:, None, :])
+    u = np.ones_like(f_)
+    v = np.ones_like(g_)
+    r = matvec(kernel, v)
+    c = rmatvec(kernel, u)
+    for sweep in range(1, max_iter + 1):
+        if sweep > 1:
+            u = a_ / r
+            bad = _out_of_range(u)
+            if bad is not None:
+                absorptions += int(bad.sum())
+                kernel[bad] = _restabilise(bad, "f", nc, la, lb, f_, g_, u, v)
+            c = rmatvec(kernel, u)
+            v = b_ / c
+            bad = _out_of_range(v)
+            if bad is not None:
+                absorptions += int(bad.sum())
+                kernel[bad] = _restabilise(bad, "g", nc, la, lb, f_, g_, u, v)
+                c[bad] = rmatvec(kernel[bad], u[bad])
+            r = matvec(kernel, v)
+        violation = np.abs(u * r - a_).sum(axis=1) + np.abs(v * c - b_).sum(axis=1)
+        if violation.min() < tol:
+            done = violation < tol
+            frozen = alive[done]
+            f[frozen] = f_[done] + np.log(u[done])
+            g[frozen] = g_[done] + np.log(v[done])
+            iterations[frozen] = sweep
+            converged[frozen] = True
+            keep = ~done
+            if not keep.any():
+                return iterations, converged, absorptions
+            alive = alive[keep]
+            nc, la, lb, a_, b_ = nc[keep], la[keep], lb[keep], a_[keep], b_[keep]
+            f_, g_, kernel = f_[keep], g_[keep], kernel[keep]
+            u, v, r, c = u[keep], v[keep], r[keep], c[keep]
+    f[alive] = f_ + np.log(u)
+    g[alive] = g_ + np.log(v)
+    return iterations, converged, absorptions
 
 
 def sinkhorn_batched(
@@ -127,7 +301,7 @@ def sinkhorn_batched(
     init: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     **legacy,
 ) -> BatchedSinkhornResult:
-    """Solve ``B`` entropic OT problems as one stacked log-domain iteration.
+    """Solve ``B`` entropic OT problems as one stacked Sinkhorn iteration.
 
     Parameters
     ----------
@@ -146,7 +320,9 @@ def sinkhorn_batched(
     init:
         Optional stacked duals ``(f, g)`` of shapes ``(B, n)``/``(B, m)``
         (e.g. from a previous :class:`BatchedSinkhornResult` on nearby
-        problems) used as the starting point instead of zeros.
+        problems) used as the starting point instead of zeros.  Must be
+        finite; a NaN or infinite entry names the offending problem and
+        index.
 
     Convergence is tracked per problem: a problem whose L1 marginal
     violation drops below ``tol`` has its duals frozen from that sweep on
@@ -166,60 +342,17 @@ def sinkhorn_batched(
         raise ValueError("cannot solve an empty problem stack")
     a = _validate_stacked_marginal("a", a, batch, n)
     b = _validate_stacked_marginal("b", b, batch, m)
-    log_a = np.log(a)
-    log_b = np.log(b)
 
     neg_cost = -cost / reg
     warm_started = init is not None
     if warm_started:
-        f0, g0 = init
-        f = np.asarray(f0, dtype=np.float64).copy()
-        g = np.asarray(g0, dtype=np.float64).copy()
-        if f.shape != (batch, n) or g.shape != (batch, m):
-            raise ValueError(
-                f"init duals must have shapes ({batch}, {n}) and "
-                f"({batch}, {m}), got {f.shape} and {g.shape}"
-            )
+        f, g = _validate_stacked_duals(init, batch, n, m)
     else:
         f = np.zeros((batch, n))
         g = np.zeros((batch, m))
-
-    # Active-set iteration: problems leave the working stack the sweep
-    # they converge, so total work tracks sum-of-iterations (like B loop
-    # solves) instead of max-iterations × B.  Row slicing never changes
-    # per-problem arithmetic — every update is independent along the
-    # problem axis — so this is still bit-exact against the loop solver.
-    iterations = np.zeros(batch, dtype=np.int64)
-    alive = np.arange(batch)  # indices into the original stack
-    nc_act, la_act, lb_act = neg_cost, log_a, log_b
-    a_act, b_act, f_act, g_act = a, b, f, g
-    for sweep in range(1, max_iter + 1):
-        f_act = la_act - _logsumexp(nc_act + g_act[:, None, :], axis=2)
-        g_act = lb_act - _logsumexp(nc_act + f_act[:, :, None], axis=1)
-        iterations[alive] = sweep
-        plan_act = np.exp(nc_act + f_act[:, :, None] + g_act[:, None, :])
-        violation_act = (
-            np.abs(plan_act.sum(axis=2) - a_act).sum(axis=1)
-            + np.abs(plan_act.sum(axis=1) - b_act).sum(axis=1)
-        )
-        done = violation_act < tol
-        if done.any():
-            f[alive] = f_act
-            g[alive] = g_act
-            keep = ~done
-            if not keep.any():
-                alive = alive[:0]
-                break
-            alive = alive[keep]
-            nc_act = nc_act[keep]
-            la_act, lb_act = la_act[keep], lb_act[keep]
-            a_act, b_act = a_act[keep], b_act[keep]
-            f_act, g_act = f_act[keep], g_act[keep]
-    else:
-        f[alive] = f_act
-        g[alive] = g_act
-    converged = np.ones(batch, dtype=bool)
-    converged[alive] = False
+    iterations, converged, absorptions = _sweep_stack(
+        neg_cost, a, b, f, g, max_iter, tol
+    )
     plan = np.exp(neg_cost + f[:, :, None] + g[:, None, :])
     violation = (
         np.abs(plan.sum(axis=2) - a).sum(axis=1)
@@ -262,6 +395,8 @@ def sinkhorn_batched(
                 recorder.observe("sinkhorn.warm_iterations", float(iterations[k]))
         if warm_started:
             recorder.inc("sinkhorn.warm_starts", float(batch))
+        if absorptions:
+            recorder.inc("sinkhorn.absorptions", float(absorptions))
         recorder.emit(
             "sinkhorn.batched_solve",
             stack=batch,

@@ -14,13 +14,13 @@ point clouds coincide.
 All three ``OT_λ^m`` problems share one shape whenever the compared clouds
 have the same number of rows (always true under Algorithm 1, where ``x̄``
 is a reconstruction of ``x``), so by default they are stacked into a single
-:func:`repro.ot.sinkhorn_batched` solve — one backend-dispatched
-``logsumexp`` sweep per iteration instead of three.  ``batched=False``
+:func:`repro.ot.sinkhorn_batched` solve — one stacked sweep per
+iteration instead of three.  ``batched=False``
 restores the per-problem loop solves; both paths agree to solver parity
 (bit-exact on the NumPy backend).
 
 Differentiability (Proposition 1) is realised with the envelope theorem: the
-optimal plans ``P*`` are solved *off-tape* with log-domain Sinkhorn, then the
+optimal plans ``P*`` are solved *off-tape* with stabilised Sinkhorn, then the
 loss value is re-assembled from differentiable cost matrices with the plans
 held constant, so ``backward()`` yields exactly the barycentric-map gradient
 

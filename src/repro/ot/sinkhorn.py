@@ -1,13 +1,14 @@
-"""Log-domain Sinkhorn iterations for entropic optimal transport.
+"""Stabilised Sinkhorn iterations for entropic optimal transport.
 
 Implements the solver behind Definition 3 of the paper: the masking
 regularised optimal transport metric
 
     OT_λ(ν, μ) = min_P <P, C> + λ Σ_ij p_ij log p_ij
 
-over the transport polytope with uniform marginals.  The log-domain update
-is numerically stable for the small regularisation weights probed by the
-ablation benches, and the returned plan is exact to ``tol`` in marginal
+over the transport polytope with uniform marginals.  The duals are kept in
+the log domain and the sweeps run in log-stabilised scaling form, which is
+numerically stable for the small regularisation weights probed by the
+ablation benches; the returned plan is exact to ``tol`` in marginal
 violation.
 
 Solver knobs live in :class:`SinkhornConfig`, shared verbatim by the
@@ -16,9 +17,12 @@ paths cannot drift apart in configuration.  The old positional
 ``sinkhorn(cost, reg, ...)`` form still works for one release behind a
 ``DeprecationWarning``.
 
-Every dual sweep runs through :func:`repro.tensor.ops.logsumexp`, so the
-op profiler times the solver's inner kernel and the active tensor backend
-(:mod:`repro.tensor.backend`) dispatches it.
+:func:`sinkhorn` runs the stacked solver's sweep kernel
+(:mod:`repro.ot.batched`) as a one-problem stack: one log-domain sweep
+through :func:`repro.tensor.ops.logsumexp`, then two matrix–vector
+products per sweep on the active tensor backend
+(:mod:`repro.tensor.backend`), with the convergence check read from the
+same products.
 
 The solver exposes its dual potentials so callers can warm-start: a DIM
 training loop solves a near-identical problem for the same batch every
@@ -38,7 +42,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..obs import get_recorder
-from ..tensor import ops
 
 __all__ = [
     "SinkhornConfig",
@@ -200,11 +203,6 @@ def _validate_marginal(name: str, weights: np.ndarray, expected: int) -> np.ndar
     return weights
 
 
-def _logsumexp(matrix: np.ndarray, axis: int) -> np.ndarray:
-    """Backend-dispatched, profiler-visible logsumexp (the solver kernel)."""
-    return ops.logsumexp(matrix, axis=axis).data
-
-
 def sinkhorn(
     cost: np.ndarray,
     config: Optional[SinkhornConfig] = None,
@@ -214,7 +212,7 @@ def sinkhorn(
     init: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     **legacy,
 ) -> SinkhornResult:
-    """Solve entropic OT in the log domain.
+    """Solve entropic OT with stabilised Sinkhorn sweeps.
 
     Parameters
     ----------
@@ -232,7 +230,9 @@ def sinkhorn(
         Optional ``(f, g)`` dual potentials (e.g. from a previous
         :class:`SinkhornResult` on a nearby problem) used as the starting
         point instead of zeros.  The solver still iterates to ``tol``, so
-        a warm start changes the iteration count, not the answer.
+        a warm start changes the iteration count, not the answer.  Both
+        duals must be finite; a NaN or infinite entry raises
+        ``ValueError`` naming its index.
     """
     cfg = _coerce_config(config, legacy, "sinkhorn")
     reg, max_iter, tol = cfg.reg, cfg.max_iter, cfg.tol
@@ -246,9 +246,6 @@ def sinkhorn(
         b = np.full(m, 1.0 / m)
     a = _validate_marginal("a", a, n)
     b = _validate_marginal("b", b, m)
-    log_a = np.log(a)
-    log_b = np.log(b)
-
     # Dual potentials (scaled by 1/reg): plan = exp(f + g - C/reg).
     neg_cost = -cost / reg
     warm_started = init is not None
@@ -261,19 +258,25 @@ def sinkhorn(
                 f"init duals must have shapes ({n},) and ({m},), got "
                 f"{f.shape} and {g.shape}"
             )
+        for name, dual in (("f", f), ("g", g)):
+            finite = np.isfinite(dual)
+            if not finite.all():
+                index = int(np.argmin(finite))
+                raise ValueError(
+                    f"init dual {name!r} must be finite: {name}[{index}] = "
+                    f"{dual[index]}"
+                )
     else:
         f = np.zeros(n)
         g = np.zeros(m)
-    converged = False
-    iteration = 0
-    for iteration in range(1, max_iter + 1):
-        f = log_a - _logsumexp(neg_cost + g[None, :], axis=1)
-        g = log_b - _logsumexp(neg_cost + f[:, None], axis=0)
-        plan = np.exp(neg_cost + f[:, None] + g[None, :])
-        violation = np.abs(plan.sum(axis=1) - a).sum() + np.abs(plan.sum(axis=0) - b).sum()
-        if violation < tol:
-            converged = True
-            break
+    # The stacked solver's sweep kernel, run as a one-problem stack; the
+    # import is deferred because that module builds on this one.
+    from .batched import _sweep_stack
+
+    iterations, converged, absorptions = _sweep_stack(
+        neg_cost[None], a[None], b[None], f[None], g[None], max_iter, tol
+    )
+    iteration, converged = int(iterations[0]), bool(converged[0])
     plan = np.exp(neg_cost + f[:, None] + g[None, :])
     value = regularized_ot_value(plan, cost, reg)
     violation = float(
@@ -301,6 +304,8 @@ def sinkhorn(
         if warm_started:
             recorder.inc("sinkhorn.warm_starts")
             recorder.observe("sinkhorn.warm_iterations", float(iteration))
+        if absorptions:
+            recorder.inc("sinkhorn.absorptions", float(absorptions))
         recorder.observe("sinkhorn.marginal_violation", violation)
         recorder.emit(
             "sinkhorn.solve",

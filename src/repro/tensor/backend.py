@@ -18,9 +18,9 @@ Contract (``docs/backends.md``):
 * The autodiff tape stays NumPy: each op in ``repro.tensor.ops`` runs its
   forward kernel on the active backend and converts the result back, so
   ``Tensor.data`` / ``Tensor.grad`` are always ``np.ndarray`` regardless
-  of backend.  Hot loops that want to stay native across many kernels
-  (the batched Sinkhorn solver) hold backend arrays themselves and
-  convert once at the boundary.
+  of backend.  Hot loops that need no tape (the Sinkhorn sweep
+  kernel's matrix–vector products) call backend primitives directly and
+  bring each result back with :meth:`TensorBackend.to_numpy`.
 * Not dispatched: fancy-index scatter (``ops.getitem``'s backward uses
   ``np.add.at``), dropout RNG, and host-side bookkeeping.  These run on
   NumPy always.

@@ -299,10 +299,11 @@ def log_softmax(a: ArrayLike, axis: int = -1) -> Tensor:
 def logsumexp(a: ArrayLike, axis: Optional[int] = None, keepdims: bool = False) -> Tensor:
     """Shift-stabilised ``log Σ exp`` reduction along ``axis``.
 
-    This is the Sinkhorn solvers' inner kernel: each dual sweep in
-    ``repro.ot`` is one call, so routing it through here gives the op
-    profiler and the tensor backend full visibility of the OT hot path.
-    The gradient is the softmax of the inputs.
+    The Sinkhorn solvers in ``repro.ot`` call it for their log-domain
+    half-sweeps: the first sweep of every solve, and any half-sweep redone
+    after a scaling underflows.  The sweeps in between are backend
+    ``matmul`` matrix–vector products.  The gradient is the softmax of the
+    inputs.
     """
     a = as_tensor(a)
     bk = get_backend()

@@ -224,6 +224,16 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="init"):
             sinkhorn(cost, SinkhornConfig(reg=0.5), init=(np.zeros(3), np.zeros(y.shape[0])))
 
+    @pytest.mark.parametrize("dual, bad", [("g", np.nan), ("f", np.inf)])
+    def test_non_finite_init_raises_with_index(self, clouds, dual, bad):
+        # A NaN dual used to run every sweep and return a NaN plan.
+        x, y = clouds
+        cost = squared_euclidean_cost(x, y)
+        f, g = np.zeros(x.shape[0]), np.zeros(y.shape[0])
+        (f if dual == "f" else g)[2] = bad
+        with pytest.raises(ValueError, match=rf"{dual}\[2\] = {bad}"):
+            sinkhorn(cost, SinkhornConfig(reg=0.5), init=(f, g))
+
     def test_warm_start_counters_recorded(self, clouds):
         from repro.obs import recording
 

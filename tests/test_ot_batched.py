@@ -155,6 +155,107 @@ class TestBatchedLoopParity:
         )
 
 
+def _log_domain_reference(cost, config, a, b, f, g):
+    """The all-log-domain sweep loop the scaling kernel replaced, one problem."""
+
+    def logsumexp(x, axis):
+        top = x.max(axis=axis, keepdims=True)
+        total = np.exp(x - top).sum(axis=axis, keepdims=True)
+        return (top + np.log(total)).squeeze(axis)
+
+    neg_cost = -cost / config.reg
+    for sweep in range(1, config.max_iter + 1):
+        f = np.log(a) - logsumexp(neg_cost + g[None, :], axis=1)
+        g = np.log(b) - logsumexp(neg_cost + f[:, None], axis=0)
+        plan = np.exp(neg_cost + f[:, None] + g[None, :])
+        violation = np.abs(plan.sum(1) - a).sum() + np.abs(plan.sum(0) - b).sum()
+        if violation < config.tol:
+            return plan, sweep, True
+    return plan, config.max_iter, False
+
+
+def _uneven(rng, batch, size):
+    weights = rng.random((batch, size)) + 0.1
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def _assert_matches_reference(result, cost, config, a, b, init):
+    assert np.isfinite(result.plan).all()
+    for name in ("value", "transport_cost", "marginal_violation", "f", "g"):
+        assert np.isfinite(getattr(result, name)).all(), name
+    for k in range(cost.shape[0]):
+        plan, iterations, converged = _log_domain_reference(
+            cost[k], config, a[k], b[k], init[0][k], init[1][k]
+        )
+        assert result.iterations[k] == iterations, k
+        assert result.converged[k] == converged, k
+        gap = np.abs(result.plan[k] - plan).max()
+        assert gap <= 1e-10 * np.abs(plan).max(), (k, gap)
+
+
+class TestScalingSweepMatchesLogDomain:
+    """The stabilised scaling sweep runs the log-domain iterates exactly."""
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    @pytest.mark.parametrize("reg", [130.0, 1.0, 0.05, 1e-2, 1e-3])
+    def test_iterates_match_reference(self, rng, reg, scale):
+        config = SinkhornConfig(reg=reg, max_iter=200, tol=1e-9)
+        for batch, n, m in [(1, 5, 7), (3, 32, 32), (7, 16, 24)]:
+            cost = _random_stack(rng, batch, n, m, scale=scale)
+            a, b = _uneven(rng, batch, n), _uneven(rng, batch, m)
+            cold = (np.zeros((batch, n)), np.zeros((batch, m)))
+            warm = (rng.normal(0.0, 5.0, (batch, n)), rng.normal(0.0, 5.0, (batch, m)))
+            for init in (cold, warm):
+                result = sinkhorn_batched(cost, config, a=a, b=b, init=init)
+                _assert_matches_reference(result, cost, config, a, b, init)
+
+    def test_small_reg_takes_the_restabilisation_path(self, rng):
+        from repro.obs import recording
+
+        config = SinkhornConfig(reg=1e-3, max_iter=200, tol=1e-9)
+        cost = _random_stack(rng, 3, 32, 32, scale=10.0)
+        a, b = _uneven(rng, 3, 32), _uneven(rng, 3, 32)
+        with recording() as rec:
+            result = sinkhorn_batched(cost, config, a=a, b=b)
+        assert rec.metrics.snapshot()["counters"]["sinkhorn.absorptions"] > 0
+        zeros = (np.zeros((3, 32)), np.zeros((3, 32)))
+        _assert_matches_reference(result, cost, config, a, b, zeros)
+
+    def test_underflowed_scaling_redoes_the_half_sweep(self, rng, monkeypatch):
+        # Marginal entries down to 1e-300 let K v underflow to zero, so
+        # u = a / (K v) is infinite and that half-sweep must be redone in
+        # the log domain (every call past the first sweep's two).
+        import repro.ot.batched as batched
+
+        calls = []
+        original = batched._logsumexp
+
+        def spy(x, axis):
+            calls.append(axis)
+            return original(x, axis)
+
+        monkeypatch.setattr(batched, "_logsumexp", spy)
+        config = SinkhornConfig(reg=1e-3, max_iter=50, tol=1e-9)
+        cost = _random_stack(rng, 10, 5, 4, scale=10.0)
+        a = 10.0 ** -rng.uniform(0.0, 300.0, (10, 5))
+        a /= a.sum(axis=1, keepdims=True)
+        b = 10.0 ** -rng.uniform(0.0, 300.0, (10, 4))
+        b /= b.sum(axis=1, keepdims=True)
+        result = sinkhorn_batched(cost, config, a=a, b=b)
+        assert len(calls) > 2
+        zeros = (np.zeros((10, 5)), np.zeros((10, 4)))
+        _assert_matches_reference(result, cost, config, a, b, zeros)
+
+    def test_loop_solver_counts_absorptions(self, rng):
+        from repro.obs import recording
+
+        cost = 10.0 * rng.random((16, 24))
+        config = SinkhornConfig(reg=1e-3, max_iter=200, tol=1e-9)
+        with recording() as rec:
+            sinkhorn(cost, config)
+        assert rec.metrics.snapshot()["counters"]["sinkhorn.absorptions"] > 0
+
+
 class TestBatchedResult:
     def test_len_and_problem_roundtrip(self, rng):
         cost = _random_stack(rng, 3, 5, 4)
@@ -209,6 +310,16 @@ class TestBatchedValidation:
                 SinkhornConfig(reg=0.5),
                 init=(np.zeros((2, 3)), np.zeros((2, 4))),
             )
+
+    @pytest.mark.parametrize("dual, bad", [("g", np.nan), ("f", -np.inf)])
+    def test_non_finite_init_names_problem_and_index(self, rng, dual, bad):
+        # A NaN dual used to run every sweep and return a NaN plan and
+        # value for its problem.
+        cost = _random_stack(rng, 3, 4, 4)
+        f, g = np.zeros((3, 4)), np.zeros((3, 4))
+        (f if dual == "f" else g)[1, 2] = bad
+        with pytest.raises(ValueError, match=rf"{dual}\[1\]\[2\] = {bad}"):
+            sinkhorn_batched(cost, SinkhornConfig(reg=0.5), init=(f, g))
 
 
 class TestSinkhornConfig:
