@@ -16,10 +16,11 @@ This module is the same-substrate OT rival to DIM (:mod:`repro.core.dim`):
   (offset cycling ``1 .. B-1``) drawn from a :class:`repro.data.BatchPlan`
   partition, and descends the mean debiased Sinkhorn divergence over the
   round's pairs with one Adam step;
-* the three OT problems of each pair (cross + both self terms — both batches
-  carry imputed cells, so unlike DIM *neither* self term is constant) share
-  one shape and are solved as a single :func:`repro.ot.sinkhorn_batched`
-  stack, with warm-started dual potentials keyed per ``(i, j)`` batch pair;
+* each pair has three OT problems (cross + both self terms — both batches
+  carry imputed cells, so unlike DIM *neither* self term is constant), all
+  of one shape, so a round's pairs are solved together as a single
+  ``(3·P, n, n)`` :func:`repro.ot.sinkhorn_batched` stack, warm-started
+  from dual potentials kept per ``(i, j)`` batch pair;
 * gradients follow the envelope theorem exactly as in Proposition 1: the
   plans are solved off-tape, the divergence value is re-assembled from
   differentiable cost matrices with the plans held constant.
@@ -28,8 +29,12 @@ Since both batches are fully imputed, every mask in the masking cost of
 Definition 2 is all-ones and the cost reduces to the plain squared-Euclidean
 matrix; :func:`repro.ot.cost.squared_euclidean_cost_tensor` is used directly.
 
-The per-pair solves are embarrassingly parallel within a round: they fan out
-through a :class:`repro.parallel.ExecutionContext`, each task returning
+The solver decides convergence, freezing and absorption per problem, so a
+problem's iterates do not depend on the rest of its stack: stacking a whole
+round changes the number of kernel calls, not the answer.  A serial
+:class:`repro.parallel.ExecutionContext` solves each round as one stack; the
+process backend splits the round's pairs into one contiguous chunk per worker
+and solves one stack per chunk.  Each task returns every pair's
 ``(loss, grad, duals)``; the parent accumulates gradients in schedule order
 and applies one optimiser step, so serial and process backends agree
 bit-for-bit and the imputation is invariant to the order pairs are visited.
@@ -47,7 +52,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +65,7 @@ from ..obs.health import HEALTH_POLICIES
 from ..optim import Adam
 from ..ot.cost import squared_euclidean_cost, squared_euclidean_cost_tensor
 from ..ot.divergence import _solve_stack
-from ..ot.sinkhorn import SinkhornConfig, entropy
+from ..ot.sinkhorn import SinkhornConfig, SinkhornResult, entropy
 from ..parallel import ExecutionContext
 from ..tensor import Tensor, no_grad, ops
 from .base import GenerativeImputer
@@ -113,10 +119,6 @@ class SinkhornImputer(GenerativeImputer):
         ``fixed_batch_order`` (otherwise pair keys never repeat).  The
         solver still iterates to ``tol``, so this changes iteration counts,
         never answers beyond solver tolerance.
-    batched:
-        Stack each pair's three OT problems into one
-        :func:`~repro.ot.sinkhorn_batched` solve; ``False`` restores loop
-        solves (bit-identical on the NumPy backend).
     fixed_batch_order:
         Draw the batch partition once and reuse it every round (enables the
         warm-start store and makes the imputation a pure function of the
@@ -139,8 +141,10 @@ class SinkhornImputer(GenerativeImputer):
         ``"halt"`` stops the round loop at the first NaN/divergence/
         oscillation detection (``report.halted`` is set).
     context:
-        :class:`~repro.parallel.ExecutionContext` for the per-pair solves;
-        defaults to ``ExecutionContext.from_env()`` at fit time.
+        :class:`~repro.parallel.ExecutionContext` for the round solves;
+        defaults to ``ExecutionContext.from_env()`` at fit time.  Serial
+        solves each round as one stack; the process backend solves one
+        stack per chunk of pairs, ``min(workers, pairs)`` chunks a round.
     """
 
     name = "otdirect"
@@ -155,7 +159,6 @@ class SinkhornImputer(GenerativeImputer):
         sinkhorn_tol: float = 1e-6,
         pairs_per_round: Optional[int] = None,
         warm_start: bool = True,
-        batched: bool = True,
         fixed_batch_order: bool = True,
         noise_init: float = 0.1,
         fit_mlp: bool = True,
@@ -189,7 +192,6 @@ class SinkhornImputer(GenerativeImputer):
         self.sinkhorn_tol = sinkhorn_tol
         self.pairs_per_round = pairs_per_round
         self.warm_start = warm_start
-        self.batched = batched
         self.fixed_batch_order = fixed_batch_order
         self.noise_init = noise_init
         self.fit_mlp = fit_mlp
@@ -306,7 +308,7 @@ class SinkhornImputer(GenerativeImputer):
         return divergence / (2.0 * index_i.size)
 
     # ------------------------------------------------------------------
-    # Pair solves
+    # Round solves
     # ------------------------------------------------------------------
     @property
     def _sinkhorn_config(self) -> SinkhornConfig:
@@ -314,52 +316,83 @@ class SinkhornImputer(GenerativeImputer):
             reg=self.reg, max_iter=self.sinkhorn_max_iter, tol=self.sinkhorn_tol
         )
 
-    def _pair_loss(
-        self, index_i: np.ndarray, index_j: np.ndarray, key: Tuple[int, int]
-    ) -> Tuple[Tensor, _Duals]:
-        """The pair's scalar loss tensor plus its dual potentials.
+    def _chunk_init(self, chunk: List[Tuple[int, int]], n: int) -> Optional[_Duals]:
+        """Stacked warm-start duals for ``chunk``, or ``None`` if none are stored.
 
-        The store is only *read* here — tasks may run in forked workers, so
-        the parent applies the returned duals between rounds, which keeps
-        serial and process backends on identical warm starts.
+        Zero rows are exactly a cold start, so a pair without stored duals
+        gets zeros.  The round-robin schedule visits a round's pairs for the
+        first time together, so a chunk is in practice all warm or all cold
+        and ``sinkhorn.warm_starts`` counts only warm problems.
         """
-        with no_grad():
-            x_i = self._gather(self._cells, index_i).data
-            x_j = self._gather(self._cells, index_j).data
-            costs = [
-                squared_euclidean_cost(x_i, x_j),
-                squared_euclidean_cost(x_i, x_i),
-                squared_euclidean_cost(x_j, x_j),
-            ]
-            init = self._duals.get(key) if self._use_warm_start else None
-            results = _solve_stack(costs, self._sinkhorn_config, self.batched, init=init)
-        duals = (
-            np.stack([r.f for r in results]),
-            np.stack([r.g for r in results]),
+        if not self._use_warm_start:
+            return None
+        stored = [self._duals.get(key) for key in chunk]
+        if all(duals is None for duals in stored):
+            return None
+        cold = np.zeros((3, n))
+        return (
+            np.concatenate([cold if d is None else d[0] for d in stored]),
+            np.concatenate([cold if d is None else d[1] for d in stored]),
         )
-        plans = (results[0].plan, results[1].plan, results[2].plan)
-        return self._assemble_divergence(self._cells, index_i, index_j, plans), duals
+
+    def _solve_chunk(
+        self, chunk: List[Tuple[int, int]]
+    ) -> List[Tuple[float, np.ndarray, _Duals]]:
+        """Solve ``chunk``'s pairs as one stack, then each pair's step in order.
+
+        The stack holds every pair's cross, ``self_i`` and ``self_j`` costs.
+        The duals store is only *read* here — tasks may run in forked
+        workers, so the parent applies the returned duals between rounds,
+        which keeps serial and process backends on identical warm starts.
+        """
+        indices = [(self._batch_indices[i], self._batch_indices[j]) for i, j in chunk]
+        costs: List[np.ndarray] = []
+        with no_grad():
+            for index_i, index_j in indices:
+                x_i = self._gather(self._cells, index_i).data
+                x_j = self._gather(self._cells, index_j).data
+                costs += [
+                    squared_euclidean_cost(x_i, x_j),
+                    squared_euclidean_cost(x_i, x_i),
+                    squared_euclidean_cost(x_j, x_j),
+                ]
+            init = self._chunk_init(chunk, indices[0][0].size)
+            results = _solve_stack(costs, self._sinkhorn_config, True, init=init)
+        return [
+            self._pair_step(index_i, index_j, results[3 * k : 3 * k + 3])
+            for k, (index_i, index_j) in enumerate(indices)
+        ]
 
     def _pair_step(
-        self, index_i: np.ndarray, index_j: np.ndarray, key: Tuple[int, int]
+        self,
+        index_i: np.ndarray,
+        index_j: np.ndarray,
+        solved: Sequence[SinkhornResult],
     ) -> Tuple[float, np.ndarray, _Duals]:
-        """One pair's (loss value, cell gradient, duals) — the parallel unit."""
+        """One pair's (loss value, cell gradient, duals) from its solved stack.
+
+        ``solved`` holds the pair's cross, ``self_i`` and ``self_j`` results.
+        """
         self._cells.zero_grad()
-        loss, duals = self._pair_loss(index_i, index_j, key)
+        plans = tuple(result.plan for result in solved)
+        loss = self._assemble_divergence(self._cells, index_i, index_j, plans)
         loss.backward()
         grad = (
             self._cells.grad.copy()
             if self._cells.grad is not None
             else np.zeros_like(self._cells.data)
         )
+        duals = (
+            np.stack([result.f for result in solved]),
+            np.stack([result.g for result in solved]),
+        )
         return loss.item(), grad, duals
 
-    def _make_pair_tasks(self, pairs: List[Tuple[int, int]]):
+    def _make_chunk_tasks(self, pairs: List[Tuple[int, int]], n_chunks: int):
+        """One task per contiguous chunk of ``pairs``; ``n_chunks <= len(pairs)``."""
         return [
-            lambda i=i, j=j: self._pair_step(
-                self._batch_indices[i], self._batch_indices[j], (i, j)
-            )
-            for i, j in pairs
+            lambda chunk=[pairs[k] for k in block]: self._solve_chunk(chunk)
+            for block in np.array_split(np.arange(len(pairs)), n_chunks)
         ]
 
     def _round_pairs(self, round_index: int, n_batches: int) -> List[Tuple[int, int]]:
@@ -430,10 +463,12 @@ class SinkhornImputer(GenerativeImputer):
         self._batch_indices = self._partition(rng)
 
     def _run_rounds(self, rng: np.random.Generator) -> OtDirectReport:
-        """The OT descent: round-robin pair solves, one Adam step per round."""
+        """The OT descent: stacked round-robin pair solves, one Adam step per round."""
         recorder = get_recorder()
         monitor = HealthMonitor(policy=self.on_divergence)
         context = self.context if self.context is not None else ExecutionContext.from_env()
+        # One stack per round serially; one per worker under the process pool.
+        workers = context.resolved_workers() if context.backend == "process" else 1
         start = time.perf_counter()
         report = OtDirectReport(rounds=0, pairs=0, seconds=0.0)
         if self._cells.size == 0:
@@ -445,13 +480,14 @@ class SinkhornImputer(GenerativeImputer):
             if not self.fixed_batch_order:
                 self._batch_indices = self._partition(rng)
             pairs = self._round_pairs(round_index, len(self._batch_indices))
+            n_chunks = min(workers, len(pairs))
             with trace("otdirect.round"):
-                results = context.run(
-                    self._make_pair_tasks(pairs), label="otdirect.pairs"
+                chunks = context.run(
+                    self._make_chunk_tasks(pairs, n_chunks), label="otdirect.pairs"
                 )
             total_grad = np.zeros_like(self._cells.data)
             loss_sum = 0.0
-            for (i, j), (value, grad, duals) in zip(pairs, results):
+            for (i, j), (value, grad, duals) in zip(pairs, chain.from_iterable(chunks)):
                 loss_sum += value
                 total_grad += grad
                 if self._use_warm_start:

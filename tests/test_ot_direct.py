@@ -1,10 +1,10 @@
 """Differential tests for OT-direct imputation (`SinkhornImputer`).
 
 The suite pins the new model against its reference points: DIM on the same
-smoke dataset (RMSE tolerance), the loop solver against the batched stack
-(bit parity), serial execution against the fork pool (bit parity through the
-shared harness), and analytic against numerical gradients on the
-imputed-cell leaf parameters.
+smoke dataset (RMSE tolerance), the stacked round solve against one
+``(3, n, n)`` solve per pair (bit parity), serial execution against the fork
+pool (bit parity through the shared harness, even and uneven chunks), and
+analytic against numerical gradients on the imputed-cell leaf parameters.
 """
 
 import numpy as np
@@ -15,10 +15,12 @@ from repro.core.dim import DimConfig, DimImputer
 from repro.data import IncompleteDataset
 from repro.models import GAINImputer, MeanImputer, SinkhornImputer, make_imputer
 from repro.obs import recording
+from repro.ot.cost import squared_euclidean_cost
+from repro.ot.divergence import _solve_stack
 from repro.parallel import ExecutionContext
 from repro.parallel.testing import assert_backend_parity
 from repro.serve.registry import ModelRegistry
-from repro.tensor import check_gradients
+from repro.tensor import check_gradients, no_grad
 
 
 def _fast(seed=0, **overrides):
@@ -149,7 +151,8 @@ class TestDifferentialVsDim:
 def _assert_solver_parity(a, b):
     """Bit parity on the NumPy backend; the repo-wide 1e-8 bound elsewhere.
 
-    The stacked and loop solvers are bit-identical under NumPy (the CI
+    A problem's iterates do not depend on the rest of its stack, so stacks
+    of different sizes are bit-identical under NumPy (the CI
     backend-matrix job also runs this file under ``array_api_strict``,
     where last-bit reduction order may differ — the same tolerance
     `tests/test_ot_batched.py` uses).
@@ -162,16 +165,69 @@ def _assert_solver_parity(a, b):
         np.testing.assert_allclose(a, b, atol=1e-8)
 
 
-class TestSolveParity:
-    def test_loop_vs_batched_parity(self, tiny):
-        batched = _fast(batched=True).fit_impute(tiny)
-        looped = _fast(batched=False).fit_impute(tiny)
-        _assert_solver_parity(batched, looped)
+def _per_pair_oracle(model, i, j):
+    """One pair's (loss, grad, duals) from its own ``(3, n, n)`` solve.
 
-    def test_loop_vs_batched_parity_without_warm_start(self, tiny):
-        batched = _fast(batched=True, warm_start=False).fit_impute(tiny)
-        looped = _fast(batched=False, warm_start=False).fit_impute(tiny)
-        _assert_solver_parity(batched, looped)
+    The reference for the round stack: the pair's three problems solved
+    with nothing else in their stack.
+    """
+    index_i, index_j = model._batch_indices[i], model._batch_indices[j]
+    with no_grad():
+        x_i = model._gather(model._cells, index_i).data
+        x_j = model._gather(model._cells, index_j).data
+        init = model._duals.get((i, j)) if model._use_warm_start else None
+        results = _solve_stack(
+            [
+                squared_euclidean_cost(x_i, x_j),
+                squared_euclidean_cost(x_i, x_i),
+                squared_euclidean_cost(x_j, x_j),
+            ],
+            model._sinkhorn_config,
+            batched=True,
+            init=init,
+        )
+    model._cells.zero_grad()
+    plans = tuple(r.plan for r in results)
+    loss = model._assemble_divergence(model._cells, index_i, index_j, plans)
+    loss.backward()
+    duals = (np.stack([r.f for r in results]), np.stack([r.g for r in results]))
+    return loss.item(), model._cells.grad.copy(), duals
+
+
+class TestSolveParity:
+    def test_round_stack_matches_per_pair_solves(self, tiny):
+        """Cold, warm and partly warm round stacks equal per-pair solves.
+
+        The oracle solves each pair's three problems as its own stack; a
+        pair without stored duals starts cold in both.
+        """
+        model = _fast()
+        model._prepare(tiny, np.random.default_rng(model.seed))
+        pairs = model._round_pairs(0, len(model._batch_indices))
+        n = model._batch_indices[0].size
+        for start in ("cold", "warm", "partly warm"):
+            if start == "partly warm":
+                del model._duals[pairs[0]]
+            assert (model._chunk_init(pairs, n) is None) == (start == "cold")
+            expected = [_per_pair_oracle(model, i, j) for i, j in pairs]
+            with recording() as records:
+                stacked = model._solve_chunk(pairs)
+            solves = [e for e in records.events if e.name == "sinkhorn.batched_solve"]
+            assert [e.fields["stack"] for e in solves] == [3 * len(pairs)]
+            assert len(stacked) == len(pairs)
+            for (loss, grad, duals), (loss_ref, grad_ref, duals_ref) in zip(
+                stacked, expected
+            ):
+                _assert_solver_parity(loss, loss_ref)
+                _assert_solver_parity(grad, grad_ref)
+                _assert_solver_parity(duals[0], duals_ref[0])
+                _assert_solver_parity(duals[1], duals_ref[1])
+            # Step the cells and store the duals, as a round does, so the
+            # next pass warm-starts on moved cells.
+            model._cells.grad = np.mean([grad for _, grad, _ in stacked], axis=0)
+            model._optimizer.step()
+            for key, (_, _, duals) in zip(pairs, stacked):
+                model._duals[key] = duals
 
     def test_round_robin_schedule_covers_all_ordered_pairs(self):
         model = SinkhornImputer()
@@ -195,21 +251,41 @@ class TestSolveParity:
 class TestParallelParity:
     @pytest.mark.parallel
     def test_pair_task_parity_through_shared_harness(self, tiny):
-        """The per-pair (loss, grad, duals) tasks are backend-invariant."""
+        """The per-chunk tasks (one stack each) are backend-invariant."""
 
         def tasks_factory():
             model = _fast()
             model._prepare(tiny, np.random.default_rng(model.seed))
             pairs = model._round_pairs(0, len(model._batch_indices))
-            return model._make_pair_tasks(pairs)
+            return model._make_chunk_tasks(pairs, 3)
 
         assert_backend_parity(tasks_factory, label="otdirect.pairs")
 
     @pytest.mark.parallel
     def test_whole_fit_serial_vs_fork_bit_parity(self, tiny):
-        serial = _fast(context=ExecutionContext("serial")).fit_impute(tiny)
-        forked = _fast(context=ExecutionContext("process", workers=2)).fit_impute(tiny)
-        assert np.array_equal(serial, forked)
+        """Serial (one stack a round) equals fork chunks, even and uneven.
+
+        The tiny table has 4 batches, so 4 pairs a round: 2 workers give
+        chunks of 2 + 2 pairs, 3 workers give 2 + 1 + 1.
+        """
+        with recording() as records:
+            serial = _fast(context=ExecutionContext("serial")).fit_impute(tiny)
+        assert _round_task_counts(records) == {1}
+        for workers in (2, 3):
+            context = ExecutionContext("process", workers=workers)
+            with recording() as records:
+                forked = _fast(context=context).fit_impute(tiny)
+            assert _round_task_counts(records) == {workers}
+            assert np.array_equal(serial, forked)
+
+
+def _round_task_counts(records):
+    """The set of task counts over every round's ``otdirect.pairs`` batch."""
+    return {
+        e.fields["n_tasks"]
+        for e in records.events
+        if e.name == "parallel.tasks" and e.fields["label"] == "otdirect.pairs"
+    }
 
 
 class TestGradcheck:
@@ -223,10 +299,6 @@ class TestGradcheck:
         model = _fast()
         model._prepare(tiny, np.random.default_rng(0))
         index_i, index_j = model._batch_indices[0], model._batch_indices[1]
-        from repro.ot.cost import squared_euclidean_cost
-        from repro.ot.divergence import _solve_stack
-        from repro.tensor import no_grad
-
         with no_grad():
             x_i = model._gather(model._cells, index_i).data
             x_j = model._gather(model._cells, index_j).data
@@ -281,8 +353,8 @@ class TestRegistryRoundTrip:
 class _NanLossImputer(SinkhornImputer):
     """Deterministically injects a NaN round loss to exercise the watchdog."""
 
-    def _pair_step(self, index_i, index_j, key):
-        loss, grad, duals = super()._pair_step(index_i, index_j, key)
+    def _pair_step(self, index_i, index_j, solved):
+        loss, grad, duals = super()._pair_step(index_i, index_j, solved)
         return float("nan"), grad, duals
 
 
