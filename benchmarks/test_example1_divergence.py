@@ -15,7 +15,7 @@ values against the numerical masking-Sinkhorn divergence on point clouds.
 import numpy as np
 
 from repro.bench import format_series
-from repro.ot import masking_sinkhorn_divergence
+from repro.ot import SinkhornConfig, masking_sinkhorn_divergence
 
 Q = 0.7  # probability a coordinate is observed
 LAMBDA = 0.02
@@ -43,7 +43,7 @@ def ms_divergence_empirical(theta: float, n: int = 400, seed: int = 0) -> float:
     x_gen = np.full((n, 1), theta)
     mask = (rng.random((n, 1)) < Q).astype(float)
     return masking_sinkhorn_divergence(
-        x_gen, x_real, mask, reg=LAMBDA, max_iter=2000, tol=1e-9
+        x_gen, x_real, mask, SinkhornConfig(reg=LAMBDA, max_iter=2000, tol=1e-9)
     )
 
 

@@ -1,14 +1,14 @@
-"""Extension — batched (stacked) Sinkhorn vs per-problem loop solves.
+"""Extension — one stacked Sinkhorn solve vs B one-problem solves.
 
-The redesigned solver stacks the same-shape OT problems behind a DIM step
-into one ``(B, n, m)`` tensor and runs every dual sweep over the whole
-stack (two backend ``matmul`` matrix–vector products), with per-problem
-convergence masking and active-set compaction (a problem leaves the
-working stack the sweep it converges).  The contract is *exact* parity —
-values, duals, and iteration counts match the loop solver to the bit on
-NumPy — so this bench verifies that first, then measures throughput on a
-raw solver workload and end-to-end DIM training with the stacked path on
-and off.
+The solver stacks same-shape OT problems into one ``(B, n, m)`` tensor and
+runs every dual sweep over the whole stack (two backend ``matmul``
+matrix–vector products), with per-problem convergence masking and
+active-set compaction (a problem leaves the working stack the sweep it
+converges).  ``sinkhorn()`` is the same solver on a one-problem stack, so
+the contract is *exact* parity — values and iteration counts of a stack
+match its one-problem solves to the bit on NumPy.  This bench verifies
+that, measures throughput on a raw solver workload, and checks that DIM
+training routes its solves through the stacked solver.
 """
 
 import time
@@ -36,10 +36,13 @@ def _dataset():
 
 
 def _solver_workload(batch, n=64, reg=0.1, repeats=3):
-    """Time `batch` same-difficulty problems: stacked vs looped."""
+    """Time `batch` same-difficulty problems: one stack vs one solve each."""
     rng = np.random.default_rng(batch)
     cost = rng.random((batch, n, n))
     config = SinkhornConfig(reg=reg, max_iter=5000, tol=1e-9)
+    # Untimed warm-up of both paths, so neither timing pays first-call costs.
+    sinkhorn_batched(cost, config)
+    sinkhorn(cost[0], config)
 
     t0 = time.perf_counter()
     for _ in range(repeats):
@@ -51,14 +54,14 @@ def _solver_workload(batch, n=64, reg=0.1, repeats=3):
         looped = [sinkhorn(cost[k], config) for k in range(batch)]
     loop_seconds = (time.perf_counter() - t0) / repeats
 
-    # Exact parity: stacked values/iterations equal the loop solver's.
+    # Exact parity: stacked values/iterations equal the one-problem solves'.
     for k, single in enumerate(looped):
         assert stacked.value[k] == single.value, (batch, k)
         assert stacked.iterations[k] == single.iterations, (batch, k)
     return loop_seconds, stacked_seconds
 
 
-def _train(batched):
+def _train():
     config = DimConfig(
         epochs=EPOCHS,
         batch_size=64,
@@ -66,25 +69,19 @@ def _train(batched):
         reg=0.1,
         sinkhorn_tol=1e-9,
         sinkhorn_max_iter=5000,
-        fixed_batch_order=True,  # identical batch sequences in both runs
-        sinkhorn_batched=batched,
     )
     model = GAINImputer(seed=0)
     with recording() as rec:
         t0 = time.perf_counter()
-        report = DIM(config).train(model, _dataset(), np.random.default_rng(7))
+        DIM(config).train(model, _dataset(), np.random.default_rng(7))
         seconds = time.perf_counter() - t0
     counters = rec.metrics.snapshot()["counters"]
-    return report, seconds, counters
+    return seconds, counters
 
 
 def test_ext_batched_sinkhorn(benchmark):
-    workload, loop_run, batched_run = benchmark.pedantic(
-        lambda: (
-            [_solver_workload(batch) for batch in STACKS],
-            _train(False),
-            _train(True),
-        ),
+    workload, (dim_seconds, dim_counters) = benchmark.pedantic(
+        lambda: ([_solver_workload(batch) for batch in STACKS], _train()),
         rounds=1,
         iterations=1,
     )
@@ -95,40 +92,25 @@ def test_ext_batched_sinkhorn(benchmark):
             "stack",
             [str(batch) for batch in STACKS],
             {
-                "loop s": [loop for loop, _ in workload],
+                "one-problem s": [single for single, _ in workload],
                 "stacked s": [stacked for _, stacked in workload],
-                "speedup": [loop / stacked for loop, stacked in workload],
+                "speedup": [single / stacked for single, stacked in workload],
             },
             title="Extension — batched Sinkhorn: raw solver throughput",
         )
     )
-
-    loop_report, loop_seconds, loop_counters = loop_run
-    batched_report, batched_seconds, batched_counters = batched_run
     print(
-        f"DIM {EPOCHS} epochs: loop {loop_seconds:.2f}s "
-        f"({loop_counters.get('sinkhorn.loop_solves', 0):.0f} loop solves), "
-        f"stacked {batched_seconds:.2f}s "
-        f"({batched_counters.get('sinkhorn.batched_solves', 0):.0f} stacked solves, "
-        f"ratio {loop_seconds / batched_seconds:.2f}x)"
+        f"DIM {EPOCHS} epochs: {dim_seconds:.2f}s, "
+        f"{dim_counters.get('sinkhorn.batched_solves', 0):.0f} stacked solves of "
+        f"{dim_counters.get('sinkhorn.batched_problems', 0):.0f} problems"
     )
 
-    # Identical learning: the stacked path is a solver swap, not a model
-    # change — per-step MS losses agree to solver tolerance.
-    assert np.allclose(loop_report.ms_losses, batched_report.ms_losses, atol=1e-8)
+    # DIM routes its cross/self-term problems through the stacked solver.
+    assert dim_counters["sinkhorn.batched_solves"] > 0
 
-    # The batched run routes everything through the stacked solver.
-    assert loop_counters.get("sinkhorn.batched_solves", 0.0) == 0.0
-    assert batched_counters.get("sinkhorn.loop_solves", 0.0) == 0.0
-    assert batched_counters["sinkhorn.batched_solves"] > 0
-
-    # Same-difficulty stacks amortise dispatch: the stacked path pays a
-    # small bookkeeping tax at B=1 but must pull ahead as the stack
-    # widens, and win clearly at the widest stack.
-    speedups = [loop / stacked for loop, stacked in workload]
+    # Same-difficulty stacks amortise dispatch: a stack must pull ahead of
+    # one-problem solves as it widens, and win clearly at the widest stack.
+    speedups = [single / stacked for single, stacked in workload]
     assert min(speedups) > 0.6, speedups
     assert speedups[-1] > speedups[0], speedups
     assert speedups[-1] > 1.05, speedups
-
-    # End-to-end DIM must not regress with the stacked default on.
-    assert batched_seconds < loop_seconds * 1.25

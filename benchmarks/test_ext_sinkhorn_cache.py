@@ -49,9 +49,9 @@ def _train(cached):
     # dim.epoch summary event that advances the counter.
     iterations, seconds, epoch = {}, {}, 0
     for event in rec.events:
-        # DIM defaults to the stacked solver; both event kinds carry the
-        # total iteration count in "iterations".
-        if event.name in ("sinkhorn.solve", "sinkhorn.batched_solve"):
+        # Every solve is a stacked one; its event carries the total
+        # iteration count in "iterations".
+        if event.name == "sinkhorn.batched_solve":
             iterations[epoch] = iterations.get(epoch, 0) + event.fields["iterations"]
         elif event.name == "span" and event.fields.get("span") == "dim.epoch":
             seconds[epoch] = event.fields["seconds"]

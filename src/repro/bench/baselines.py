@@ -113,10 +113,7 @@ def snapshot_from_trace(trace: Dict[str, object], name: str) -> Dict[str, object
     * the ``sinkhorn.iterations`` histogram mean → ``sinkhorn.iterations``;
     * the ``span.dim.epoch.seconds`` histogram mean → steady-state
       ``dim.epoch_seconds``;
-    * the batched-solver signals: ``sinkhorn.loop_solves`` (should stay
-      near zero while the stacked path is default-on — a climb means the
-      hot loop fell back to serialized solves) and the
-      ``sinkhorn.batched_stack_size`` / ``sinkhorn.batched_sweeps``
+    * the ``sinkhorn.batched_stack_size`` / ``sinkhorn.batched_sweeps``
       histogram means.
     """
     metrics: Dict[str, float] = {}
@@ -147,13 +144,6 @@ def snapshot_from_trace(trace: Dict[str, object], name: str) -> Dict[str, object
     epoch = histograms.get("span.dim.epoch.seconds", {})
     if epoch.get("mean") is not None:
         metrics["dim.epoch_seconds"] = float(epoch["mean"])
-    counters = trace.get("metrics", {}).get("counters", {})
-    if "sinkhorn.batched_solves" in counters:
-        # Gate the batched path staying default-on: loop solves creeping
-        # back into a trace that has stacked solves is a regression.
-        metrics["sinkhorn.loop_solves"] = float(
-            counters.get("sinkhorn.loop_solves", 0.0)
-        )
     stack = histograms.get("sinkhorn.batched_stack_size", {})
     if stack.get("mean") is not None:
         metrics["sinkhorn.batched_stack_size"] = float(stack["mean"])

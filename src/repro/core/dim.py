@@ -72,10 +72,6 @@ class DimConfig:
     debias: bool = True
     sinkhorn_warm_start: bool = True
     sinkhorn_cache_self_terms: bool = True
-    # Stack each step's cross/self-term OT problems into one batched
-    # log-domain solve (repro.ot.sinkhorn_batched); False restores the
-    # per-problem loop solver.
-    sinkhorn_batched: bool = True
     # None derives the policy: fixed iff warm-start or self-term caching is on.
     fixed_batch_order: Optional[bool] = None
     # Early stopping: stop when the epoch-mean loss has not improved by
@@ -117,7 +113,6 @@ class DIM:
             debias=self.config.debias,
             warm_start=self.config.sinkhorn_warm_start,
             cache_self_terms=self.config.sinkhorn_cache_self_terms,
-            batched=self.config.sinkhorn_batched,
         )
 
     def train(

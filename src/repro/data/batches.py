@@ -143,52 +143,20 @@ class BatchPlan:
 
 def iterate_batches(
     dataset: IncompleteDataset,
-    batch_size: Optional[int] = None,
+    plan: BatchPlan,
     rng: Optional[np.random.Generator] = None,
-    shuffle: bool = True,
-    drop_last: bool = False,
-    yield_indices: bool = False,
-    order: Optional[np.ndarray] = None,
-    *,
-    plan: Optional[BatchPlan] = None,
 ) -> Iterator[Union[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Yield ``(values, mask)`` batches; missing entries come through as nan.
 
-    The partition policy is a :class:`BatchPlan` — pass one via ``plan``.
-    The older flag spelling (``batch_size``/``shuffle``/``drop_last``/
-    ``yield_indices``/``order``, where ``order`` is an explicit row
-    permutation) still works and is folded into an equivalent plan.
+    ``plan`` is the partition policy; ``rng`` draws the permutation of a
+    ``"shuffled"`` plan.  With ``plan.yield_indices`` each batch also
+    carries its row indices as a third element.
     """
-    if plan is None:
-        if batch_size is None:
-            raise ValueError("iterate_batches needs a batch_size or a plan")
-        if order is not None:
-            order = np.asarray(order, dtype=np.intp)
-            plan = BatchPlan(
-                batch_size=batch_size,
-                order="fixed",
-                permutation=order,
-                drop_last=drop_last,
-                yield_indices=yield_indices,
-            )
-        else:
-            plan = BatchPlan(
-                batch_size=batch_size,
-                order="shuffled" if shuffle else "sequential",
-                drop_last=drop_last,
-                yield_indices=yield_indices,
-            )
-    elif batch_size is not None or order is not None:
+    if not isinstance(plan, BatchPlan):
         raise TypeError(
-            "iterate_batches got both a plan and legacy batch flags; "
-            "fold them into the BatchPlan"
+            f"plan must be a BatchPlan, e.g. BatchPlan(batch_size=...), got {plan!r}"
         )
     n = dataset.n_samples
-    if plan.order == "fixed" and plan.permutation.size != n:
-        raise ValueError(
-            f"order must be a 1-D permutation of all {n} rows, "
-            f"got shape {plan.permutation.shape}"
-        )
     row_order = plan.row_order(n, rng)
     for start, stop in plan.bounds(n):
         index = row_order[start:stop]

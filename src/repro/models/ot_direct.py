@@ -357,7 +357,7 @@ class SinkhornImputer(GenerativeImputer):
                     squared_euclidean_cost(x_j, x_j),
                 ]
             init = self._chunk_init(chunk, indices[0][0].size)
-            results = _solve_stack(costs, self._sinkhorn_config, True, init=init)
+            results = _solve_stack(costs, self._sinkhorn_config, init=init)
         return [
             self._pair_step(index_i, index_j, results[3 * k : 3 * k + 3])
             for k, (index_i, index_j) in enumerate(indices)

@@ -1,5 +1,5 @@
-"""Optimal-transport toolkit: exact OT, Sinkhorn (loop and batched),
-masking Sinkhorn divergence."""
+"""Optimal-transport toolkit: exact OT, one stacked Sinkhorn solver
+(``sinkhorn()`` is its one-problem case), masking Sinkhorn divergence."""
 
 from .batched import BatchedSinkhornResult, sinkhorn_batched
 from .cost import (

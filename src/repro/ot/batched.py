@@ -25,12 +25,13 @@ has them absorbed into its duals and its kernel rebuilt (counted as
 ``sinkhorn.absorptions``); if a scaling is zero or non-finite, that
 half-sweep is redone in the log domain.
 
-The loop solver :func:`repro.ot.sinkhorn` runs the same kernel as a
-one-problem stack.  Every decision in the kernel (convergence, freezing,
-absorption) is taken per problem, so a problem's arithmetic does not depend
-on the rest of its stack: the parity tests find stacked and loop solves
-bit-identical on NumPy, even when problems in one stack converge at
-different times.
+:func:`repro.ot.sinkhorn` is this solver's one-problem case: it checks its
+2-D inputs and returns ``sinkhorn_batched(cost[None], ...).problem(0)``.
+Every decision in the kernel (convergence, freezing, absorption) is taken
+per problem, so a problem's arithmetic does not depend on the rest of its
+stack: the parity tests find a stacked solve bit-identical on NumPy to
+one-problem solves of its slices, even when problems in one stack converge
+at different times.
 """
 
 from __future__ import annotations
@@ -43,13 +44,7 @@ import numpy as np
 
 from ..obs import get_recorder
 from ..tensor import get_backend, ops
-from .sinkhorn import (
-    SinkhornConfig,
-    SinkhornResult,
-    _coerce_config,
-    entropy,
-    regularized_ot_value,
-)
+from .sinkhorn import SinkhornConfig, SinkhornResult, regularized_ot_value
 
 __all__ = ["BatchedSinkhornResult", "sinkhorn_batched"]
 
@@ -246,8 +241,8 @@ def _sweep_stack(
     absorptions = 0
 
     # Active-set iteration: problems leave the working stack the sweep
-    # they converge, so total work tracks sum-of-iterations (like B loop
-    # solves) instead of max-iterations × B.
+    # they converge, so total work tracks sum-of-iterations (like B
+    # one-problem solves) instead of max-iterations × B.
     alive = np.arange(batch)  # indices into the original stack
     nc, la, lb, a_, b_ = neg_cost, np.log(a), np.log(b), a, b
     f_ = la - _logsumexp(nc + g[:, None, :], axis=2)
@@ -294,12 +289,11 @@ def _sweep_stack(
 
 def sinkhorn_batched(
     cost: np.ndarray,
-    config: Optional[SinkhornConfig] = None,
+    config: SinkhornConfig,
     *,
     a: Optional[np.ndarray] = None,
     b: Optional[np.ndarray] = None,
     init: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    **legacy,
 ) -> BatchedSinkhornResult:
     """Solve ``B`` entropic OT problems as one stacked Sinkhorn iteration.
 
@@ -309,10 +303,9 @@ def sinkhorn_batched(
         ``(B, n, m)`` stacked cost tensor — one ``(n, m)`` problem per
         leading index.
     config:
-        The same :class:`SinkhornConfig` the loop solver takes; both paths
-        are configured identically by construction.  (The legacy
-        ``reg=...`` knob form is accepted with the same one-release
-        ``DeprecationWarning``.)
+        :class:`SinkhornConfig` with the solver knobs.  Every solver entry
+        point reaches this check, so anything else (a bare ``reg`` float,
+        say) raises ``TypeError`` here.
     a, b:
         Marginals: ``None`` (uniform), a shared ``(n,)``/``(m,)`` vector,
         or per-problem ``(B, n)``/``(B, m)`` matrices.  Must be strictly
@@ -326,12 +319,16 @@ def sinkhorn_batched(
 
     Convergence is tracked per problem: a problem whose L1 marginal
     violation drops below ``tol`` has its duals frozen from that sweep on
-    (exactly where a loop solve would have stopped), while the rest of the
-    stack keeps iterating; the solve ends when every problem has converged
-    or ``max_iter`` is reached.
+    (exactly where a one-problem solve would have stopped), while the rest
+    of the stack keeps iterating; the solve ends when every problem has
+    converged or ``max_iter`` is reached.
     """
-    cfg = _coerce_config(config, legacy, "sinkhorn_batched")
-    reg, max_iter, tol = cfg.reg, cfg.max_iter, cfg.tol
+    if not isinstance(config, SinkhornConfig):
+        raise TypeError(
+            f"config must be a SinkhornConfig, e.g. SinkhornConfig(reg=...), "
+            f"got {config!r}"
+        )
+    reg, max_iter, tol = config.reg, config.max_iter, config.tol
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 3:
         raise ValueError(
@@ -358,8 +355,8 @@ def sinkhorn_batched(
         np.abs(plan.sum(axis=2) - a).sum(axis=1)
         + np.abs(plan.sum(axis=1) - b).sum(axis=1)
     )
-    # Scalar reductions reuse the loop solver's helpers slice-by-slice so a
-    # stacked value is bit-identical to the loop value for the same duals.
+    # Per-slice scalar reductions: a problem's value does not depend on the
+    # rest of its stack.
     value = np.array([regularized_ot_value(plan[k], cost[k], reg) for k in range(batch)])
     transport_cost = np.array([float((plan[k] * cost[k]).sum()) for k in range(batch)])
 

@@ -11,13 +11,13 @@ squared-Euclidean costs.  The corrective self-terms debias the entropic
 regulariser so the divergence is non-negative and zero iff the two masked
 point clouds coincide.
 
-All three ``OT_λ^m`` problems share one shape whenever the compared clouds
-have the same number of rows (always true under Algorithm 1, where ``x̄``
-is a reconstruction of ``x``), so by default they are stacked into a single
-:func:`repro.ot.sinkhorn_batched` solve — one stacked sweep per
-iteration instead of three.  ``batched=False``
-restores the per-problem loop solves; both paths agree to solver parity
-(bit-exact on the NumPy backend).
+The masking inputs ``x̄``, ``x`` and their masks share one ``(n, d)``
+shape (under Algorithm 1 ``x̄`` is a reconstruction of ``x``), so all
+three ``OT_λ^m`` problems share one shape and are stacked into a single
+:func:`repro.ot.sinkhorn_batched` solve — one stacked sweep per iteration
+instead of three.  Only the unmasked :func:`sinkhorn_divergence` can
+compare clouds with different row counts; its problems then differ in
+shape and are solved one at a time.
 
 Differentiability (Proposition 1) is realised with the envelope theorem: the
 optimal plans ``P*`` are solved *off-tape* with stabilised Sinkhorn, then the
@@ -39,7 +39,7 @@ from ..parallel import ExecutionContext
 from ..tensor import Tensor, as_tensor, no_grad
 from .batched import sinkhorn_batched
 from .cost import masked_cost_matrix, masked_cost_matrix_tensor, squared_euclidean_cost
-from .sinkhorn import SinkhornConfig, SinkhornResult, _coerce_config, entropy, sinkhorn
+from .sinkhorn import SinkhornConfig, SinkhornResult, entropy, sinkhorn
 
 __all__ = [
     "sinkhorn_divergence",
@@ -52,52 +52,51 @@ __all__ = [
 def _solve_stack(
     costs: Sequence[np.ndarray],
     config: SinkhornConfig,
-    batched: bool,
     init: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> List[SinkhornResult]:
-    """Solve same-shape problems stacked (or looped when ``batched=False``).
+    """Solve same-shape problems as one stack, mixed shapes one at a time.
 
-    ``init`` is a stacked ``(f, g)`` warm start; rows of zeros are exactly a
-    cold start, so a partially warm stack is expressed by zero rows.
+    ``init`` is a stacked ``(f, g)`` warm start for a same-shape stack;
+    rows of zeros are exactly a cold start, so a partially warm stack is
+    expressed by zero rows.  Mixed shapes (only ``sinkhorn_divergence`` on
+    clouds with different row counts) are solved cold.
     """
-    if batched and len({c.shape for c in costs}) == 1:
+    if len({c.shape for c in costs}) == 1:
         result = sinkhorn_batched(np.stack(costs), config, init=init)
         return [result.problem(k) for k in range(len(costs))]
-    return [
-        sinkhorn(
-            cost,
-            config,
-            init=None if init is None else (init[0][k], init[1][k]),
-        )
-        for k, cost in enumerate(costs)
-    ]
+    return [sinkhorn(cost, config) for cost in costs]
 
 
-def sinkhorn_divergence(
-    x: np.ndarray,
-    y: np.ndarray,
-    config: Optional[SinkhornConfig] = None,
-    *,
-    batched: bool = True,
-    **legacy,
-) -> float:
+def _check_masking_shapes(x_bar, x, mask, mask_bar) -> None:
+    """Require ``x_bar``, ``mask`` and ``mask_bar`` to have ``x``'s ``(n, d)`` shape.
+
+    NumPy would broadcast a 1-D or ``(n, 1)`` mask into a finite but
+    meaningless divergence, so a mis-shaped input is named instead.
+    """
+    shape = np.shape(x)
+    if len(shape) != 2:
+        raise ValueError(f"x must be an (n, d) matrix, got shape {shape}")
+    for name, value in (("x_bar", x_bar), ("mask", mask), ("mask_bar", mask_bar)):
+        if np.shape(value) != shape:
+            raise ValueError(
+                f"{name} must have x's shape {shape}, got {np.shape(value)}"
+            )
+
+
+def sinkhorn_divergence(x: np.ndarray, y: np.ndarray, config: SinkhornConfig) -> float:
     """Debiased (unmasked) Sinkhorn divergence between two point clouds.
 
     When ``x`` and ``y`` have the same number of rows the cross and two
-    self-term problems share a shape and are solved as one stacked batch;
-    otherwise (or with ``batched=False``) they fall back to loop solves.
-    The legacy ``sinkhorn_divergence(x, y, reg, ...)`` form is accepted for
-    one release with a ``DeprecationWarning``.
+    self-term problems share a shape and are solved as one stack;
+    otherwise each is solved on its own.
     """
-    cfg = _coerce_config(config, legacy, "sinkhorn_divergence")
     cross, self_x, self_y = _solve_stack(
         [
             squared_euclidean_cost(x, y),
             squared_euclidean_cost(x, x),
             squared_euclidean_cost(y, y),
         ],
-        cfg,
-        batched,
+        config,
     )
     return 2.0 * cross.value - self_x.value - self_y.value
 
@@ -106,29 +105,27 @@ def masking_sinkhorn_divergence(
     x_bar: np.ndarray,
     x: np.ndarray,
     mask: np.ndarray,
-    config: Optional[SinkhornConfig] = None,
+    config: SinkhornConfig,
     *,
     mask_bar: Optional[np.ndarray] = None,
-    batched: bool = True,
-    **legacy,
 ) -> float:
     """Masking Sinkhorn divergence ``S_m(ν_x̄ || μ_x)`` (Definition 4), NumPy.
 
     ``mask`` applies to ``x``; ``mask_bar`` (defaults to ``mask``) applies to
     ``x_bar``.  Under Algorithm 1 both matrices share the dataset's mask.
-    The three OT problems are one stacked solve by default (``batched``).
+    All four arrays must share one ``(n, d)`` shape (``ValueError``
+    otherwise); the three OT problems are one stacked solve.
     """
-    cfg = _coerce_config(config, legacy, "masking_sinkhorn_divergence")
     if mask_bar is None:
         mask_bar = mask
+    _check_masking_shapes(x_bar, x, mask, mask_bar)
     cross, self_bar, self_x = _solve_stack(
         [
             masked_cost_matrix(x_bar, mask_bar, x, mask),
             masked_cost_matrix(x_bar, mask_bar, x_bar, mask_bar),
             masked_cost_matrix(x, mask, x, mask),
         ],
-        cfg,
-        batched,
+        config,
     )
     return 2.0 * cross.value - self_bar.value - self_x.value
 
@@ -137,14 +134,12 @@ def chunked_masking_sinkhorn_divergence(
     x_bar: np.ndarray,
     x: np.ndarray,
     mask: np.ndarray,
-    config: Optional[SinkhornConfig] = None,
+    config: SinkhornConfig,
     *,
     chunk_size: int = 256,
     mask_bar: Optional[np.ndarray] = None,
     context: Optional["ExecutionContext"] = None,
-    batched: bool = True,
     plan: Optional["BatchPlan"] = None,
-    **legacy,
 ) -> float:
     """Evaluation-time masking Sinkhorn divergence over row partitions.
 
@@ -167,16 +162,11 @@ def chunked_masking_sinkhorn_divergence(
     """
     from ..data import BatchPlan  # local: repro.data imports repro.obs only
 
-    cfg = _coerce_config(config, legacy, "chunked_masking_sinkhorn_divergence")
     x_bar = np.asarray(x_bar, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
-    if x_bar.shape != x.shape or mask.shape != x.shape:
-        raise ValueError(
-            f"shape mismatch: x_bar {x_bar.shape}, x {x.shape}, mask {mask.shape}"
-        )
-    if mask_bar is None:
-        mask_bar = mask
+    mask_bar = mask if mask_bar is None else np.asarray(mask_bar, dtype=np.float64)
+    _check_masking_shapes(x_bar, x, mask, mask_bar)
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate the divergence on an empty batch")
@@ -189,9 +179,7 @@ def chunked_masking_sinkhorn_divergence(
         )
     bounds = plan.bounds(n)
     if len(bounds) == 1:
-        return masking_sinkhorn_divergence(
-            x_bar, x, mask, cfg, mask_bar=mask_bar, batched=batched
-        )
+        return masking_sinkhorn_divergence(x_bar, x, mask, config, mask_bar=mask_bar)
     context = context if context is not None else ExecutionContext.from_env()
 
     def chunk_task(start: int, stop: int):
@@ -199,9 +187,8 @@ def chunked_masking_sinkhorn_divergence(
             x_bar[start:stop],
             x[start:stop],
             mask[start:stop],
-            cfg,
+            config,
             mask_bar=mask_bar[start:stop],
-            batched=batched,
         )
 
     values = context.run(
@@ -224,8 +211,7 @@ class MaskingSinkhornLoss:
         Entropic regulariser ``λ`` (paper default 130 on [0, 1]-normalised
         data scaled; see :class:`repro.core.ScisConfig`).
     max_iter, tol:
-        Sinkhorn solver controls (assembled into a :class:`SinkhornConfig`
-        shared by the loop and batched paths).
+        Sinkhorn solver controls (assembled into a :class:`SinkhornConfig`).
     debias:
         Include the corrective self-terms (Definition 4).  Switching this off
         reproduces the "entropic only" ablation discussed in §IV.A.
@@ -241,12 +227,10 @@ class MaskingSinkhornLoss:
         epoch.  The cached scalar is exactly what a fresh cold solve would
         produce (the solve is deterministic), so cached and uncached runs
         agree to the bit on this term.
-    batched:
-        Stack the step's cross/self-term problems (all ``(n, n)``) into one
-        :func:`sinkhorn_batched` solve per training step instead of two or
-        three loop solves.  Warm-start rows for slots without stored duals
-        are zeros — exactly a cold start — so batched and loop paths agree
-        to solver parity.
+
+    Each training step's cross/self-term problems (all ``(n, n)``) are one
+    :func:`sinkhorn_batched` solve.  Warm-start rows for slots without
+    stored duals are zeros — exactly a cold start.
 
     Both stores are keyed by the caller-supplied ``batch_key``; callers
     **must** guarantee that a key maps to a fixed ``(x, mask)`` pair for the
@@ -260,7 +244,6 @@ class MaskingSinkhornLoss:
     debias: bool = True
     warm_start: bool = True
     cache_self_terms: bool = True
-    batched: bool = True
     _duals: Dict[Hashable, Dict[str, Tuple[np.ndarray, np.ndarray]]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -270,7 +253,7 @@ class MaskingSinkhornLoss:
 
     @property
     def config(self) -> SinkhornConfig:
-        """The solver configuration both Sinkhorn paths receive."""
+        """The solver configuration every step's stack is solved with."""
         return SinkhornConfig(reg=self.reg, max_iter=self.max_iter, tol=self.tol)
 
     def reset_caches(self) -> None:
@@ -302,22 +285,12 @@ class MaskingSinkhornLoss:
         slots: Sequence[Optional[str]],
         batch_key: Optional[Hashable],
     ) -> List[SinkhornResult]:
-        """Solve the step's same-shape problems, warm-starting per slot.
+        """Solve the step's same-shape problems as one stack, warm-started per slot.
 
         ``slots`` names the warm-start store entry per problem (``None`` for
-        the deliberately cold data self-term).  With ``batched`` all
-        problems go through one stacked solve; otherwise each is a loop
-        solve — duals stored per slot either way.
+        the deliberately cold data self-term); duals are stored per slot.
         """
         stored = [self._stored_duals(batch_key, slot) for slot in slots]
-        if not self.batched:
-            results = [
-                sinkhorn(cost, self.config, init=duals)
-                for cost, duals in zip(costs, stored)
-            ]
-            for slot, result in zip(slots, results):
-                self._store_duals(batch_key, slot, result)
-            return results
         init = None
         if any(s is not None for s in stored):
             n, m = costs[0].shape
@@ -327,7 +300,7 @@ class MaskingSinkhornLoss:
                 if s is not None:
                     f0[k], g0[k] = s
             init = (f0, g0)
-        results = _solve_stack(list(costs), self.config, self.batched, init=init)
+        results = _solve_stack(list(costs), self.config, init=init)
         for slot, result in zip(slots, results):
             self._store_duals(batch_key, slot, result)
         return results
@@ -351,10 +324,7 @@ class MaskingSinkhornLoss:
         x = np.asarray(x, dtype=np.float64)
         mask = np.asarray(mask, dtype=np.float64)
         n = x.shape[0]
-        if x_bar.shape != x.shape or mask.shape != x.shape:
-            raise ValueError(
-                f"shape mismatch: x_bar {x_bar.shape}, x {x.shape}, mask {mask.shape}"
-            )
+        _check_masking_shapes(x_bar.data, x, mask, mask)
 
         with no_grad():
             costs = [masked_cost_matrix(x_bar.data, mask, x, mask)]

@@ -11,18 +11,12 @@ numerically stable for the small regularisation weights probed by the
 ablation benches; the returned plan is exact to ``tol`` in marginal
 violation.
 
-Solver knobs live in :class:`SinkhornConfig`, shared verbatim by the
-batched solver (:func:`repro.ot.sinkhorn_batched`) so the loop and stacked
-paths cannot drift apart in configuration.  The old positional
-``sinkhorn(cost, reg, ...)`` form still works for one release behind a
-``DeprecationWarning``.
-
-:func:`sinkhorn` runs the stacked solver's sweep kernel
-(:mod:`repro.ot.batched`) as a one-problem stack: one log-domain sweep
-through :func:`repro.tensor.ops.logsumexp`, then two matrix–vector
-products per sweep on the active tensor backend
-(:mod:`repro.tensor.backend`), with the convergence check read from the
-same products.
+Solver knobs live in :class:`SinkhornConfig`, the one required
+configuration argument of every solver entry point.  :func:`sinkhorn` is
+the one-problem case of the stacked solver (:mod:`repro.ot.batched`): it
+checks its 2-D inputs and returns ``sinkhorn_batched(cost[None],
+...).problem(0)``, so there is one sweep kernel, one result assembly and
+one telemetry contract.
 
 The solver exposes its dual potentials so callers can warm-start: a DIM
 training loop solves a near-identical problem for the same batch every
@@ -35,13 +29,10 @@ is still converged to ``tol``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-
-from ..obs import get_recorder
 
 __all__ = [
     "SinkhornConfig",
@@ -82,49 +73,6 @@ class SinkhornConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be positive, got {self.tol}")
-
-
-_LEGACY_KNOBS = ("reg", "max_iter", "tol")
-
-
-def _coerce_config(config, legacy: dict, caller: str) -> SinkhornConfig:
-    """Resolve the ``config`` argument plus any legacy knob kwargs.
-
-    New form: ``caller(..., config=SinkhornConfig(reg=...))``.
-    Old form: ``caller(..., reg, max_iter=..., tol=...)`` — accepted for one
-    release with a :class:`DeprecationWarning` (``config`` receives the old
-    positional ``reg`` when callers passed it positionally).
-    """
-    if isinstance(config, SinkhornConfig):
-        if legacy:
-            raise TypeError(
-                f"{caller}() got both a SinkhornConfig and legacy solver "
-                f"kwargs {sorted(legacy)}; move them into the config"
-            )
-        return config
-    knobs = dict(legacy)
-    if config is not None:
-        if "reg" in knobs:
-            raise TypeError(f"{caller}() got multiple values for 'reg'")
-        knobs["reg"] = config
-    unknown = set(knobs) - set(_LEGACY_KNOBS)
-    if unknown:
-        raise TypeError(
-            f"{caller}() got unexpected keyword arguments {sorted(unknown)}"
-        )
-    if "reg" not in knobs:
-        raise TypeError(
-            f"{caller}() needs a SinkhornConfig, e.g. "
-            f"{caller}(..., config=SinkhornConfig(reg=0.1))"
-        )
-    warnings.warn(
-        f"passing reg/max_iter/tol to {caller}() directly is deprecated and "
-        f"will be removed in the next release; pass "
-        f"config=SinkhornConfig(reg=..., max_iter=..., tol=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return SinkhornConfig(**knobs)
 
 
 @dataclass(frozen=True)
@@ -205,14 +153,13 @@ def _validate_marginal(name: str, weights: np.ndarray, expected: int) -> np.ndar
 
 def sinkhorn(
     cost: np.ndarray,
-    config: Optional[SinkhornConfig] = None,
+    config: SinkhornConfig,
     *,
     a: Optional[np.ndarray] = None,
     b: Optional[np.ndarray] = None,
     init: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    **legacy,
 ) -> SinkhornResult:
-    """Solve entropic OT with stabilised Sinkhorn sweeps.
+    """Solve one entropic OT problem: a one-problem :func:`sinkhorn_batched`.
 
     Parameters
     ----------
@@ -220,9 +167,7 @@ def sinkhorn(
         ``(n, m)`` cost matrix.
     config:
         :class:`SinkhornConfig` with the solver knobs (``reg``,
-        ``max_iter``, ``tol``).  The pre-redesign form —
-        ``sinkhorn(cost, reg, max_iter=..., tol=...)`` — is still accepted
-        for one release and warns ``DeprecationWarning``.
+        ``max_iter``, ``tol``).  Anything else raises ``TypeError``.
     a, b:
         Marginals (default uniform).  Must be strictly positive and match
         the cost matrix's shape; degenerate marginals raise ``ValueError``.
@@ -233,26 +178,23 @@ def sinkhorn(
         a warm start changes the iteration count, not the answer.  Both
         duals must be finite; a NaN or infinite entry raises
         ``ValueError`` naming its index.
+
+    The inputs are checked here, in 2-D terms, then solved as
+    ``sinkhorn_batched(cost[None], ...).problem(0)``, so a call emits the
+    stacked solver's telemetry: one ``sinkhorn.batched_solve`` with
+    ``stack=1``.
     """
-    cfg = _coerce_config(config, legacy, "sinkhorn")
-    reg, max_iter, tol = cfg.reg, cfg.max_iter, cfg.tol
     cost = np.asarray(cost, dtype=np.float64)
     if cost.ndim != 2:
         raise ValueError(f"cost must be a 2-D matrix, got shape {cost.shape}")
     n, m = cost.shape
-    if a is None:
-        a = np.full(n, 1.0 / n)
-    if b is None:
-        b = np.full(m, 1.0 / m)
-    a = _validate_marginal("a", a, n)
-    b = _validate_marginal("b", b, m)
-    # Dual potentials (scaled by 1/reg): plan = exp(f + g - C/reg).
-    neg_cost = -cost / reg
-    warm_started = init is not None
-    if warm_started:
-        f0, g0 = init
-        f = np.asarray(f0, dtype=np.float64).copy()
-        g = np.asarray(g0, dtype=np.float64).copy()
+    if a is not None:
+        a = _validate_marginal("a", a, n)
+    if b is not None:
+        b = _validate_marginal("b", b, m)
+    if init is not None:
+        f = np.asarray(init[0], dtype=np.float64)
+        g = np.asarray(init[1], dtype=np.float64)
         if f.shape != (n,) or g.shape != (m,):
             raise ValueError(
                 f"init duals must have shapes ({n},) and ({m},), got "
@@ -266,64 +208,8 @@ def sinkhorn(
                     f"init dual {name!r} must be finite: {name}[{index}] = "
                     f"{dual[index]}"
                 )
-    else:
-        f = np.zeros(n)
-        g = np.zeros(m)
-    # The stacked solver's sweep kernel, run as a one-problem stack; the
-    # import is deferred because that module builds on this one.
-    from .batched import _sweep_stack
+        init = (f[None], g[None])
+    # Deferred: repro.ot.batched builds on this module's types.
+    from .batched import sinkhorn_batched
 
-    iterations, converged, absorptions = _sweep_stack(
-        neg_cost[None], a[None], b[None], f[None], g[None], max_iter, tol
-    )
-    iteration, converged = int(iterations[0]), bool(converged[0])
-    plan = np.exp(neg_cost + f[:, None] + g[None, :])
-    value = regularized_ot_value(plan, cost, reg)
-    violation = float(
-        np.abs(plan.sum(axis=1) - a).sum() + np.abs(plan.sum(axis=0) - b).sum()
-    )
-    recorder = get_recorder()
-    if recorder.enabled:
-        recorder.inc("sinkhorn.solves")
-        recorder.inc("sinkhorn.loop_solves")
-        if not converged:
-            recorder.inc("sinkhorn.nonconverged")
-        if not (np.isfinite(value) and np.isfinite(violation)):
-            # Overflowed potentials (tiny reg / huge costs) — the watchdog's
-            # structured breadcrumb for a poisoned MS loss.
-            recorder.inc("health.issues")
-            recorder.emit(
-                "health.sinkhorn_nonfinite",
-                value=float(value),
-                marginal_violation=violation,
-                reg=reg,
-                n=n,
-                m=m,
-            )
-        recorder.observe("sinkhorn.iterations", float(iteration))
-        if warm_started:
-            recorder.inc("sinkhorn.warm_starts")
-            recorder.observe("sinkhorn.warm_iterations", float(iteration))
-        if absorptions:
-            recorder.inc("sinkhorn.absorptions", float(absorptions))
-        recorder.observe("sinkhorn.marginal_violation", violation)
-        recorder.emit(
-            "sinkhorn.solve",
-            n=n,
-            m=m,
-            reg=reg,
-            iterations=iteration,
-            converged=converged,
-            marginal_violation=violation,
-            warm_started=warm_started,
-        )
-    return SinkhornResult(
-        plan=plan,
-        value=value,
-        transport_cost=float((plan * cost).sum()),
-        iterations=iteration,
-        converged=converged,
-        marginal_violation=violation,
-        f=f,
-        g=g,
-    )
+    return sinkhorn_batched(cost[None], config, a=a, b=b, init=init).problem(0)

@@ -144,9 +144,9 @@ class TestSinkhornCaching:
                 DIM(config).train(model, case.train, np.random.default_rng(0))
             per_epoch, epoch = {}, 0
             for event in rec.events:
-                # DIM defaults to the stacked solver; both event kinds carry
-                # the stack's total iteration count in "iterations".
-                if event.name in ("sinkhorn.solve", "sinkhorn.batched_solve"):
+                # Every solve is a stacked one; its event carries the
+                # stack's total iteration count in "iterations".
+                if event.name == "sinkhorn.batched_solve":
                     per_epoch[epoch] = per_epoch.get(epoch, 0) + event.fields["iterations"]
                 elif event.name == "dim.epoch":
                     epoch += 1

@@ -5,6 +5,7 @@ import pytest
 
 from repro.data import (
     SPECS,
+    BatchPlan,
     IncompleteDataset,
     MinMaxNormalizer,
     Standardizer,
@@ -283,26 +284,29 @@ class TestCovidGenerators:
 
 class TestBatches:
     def test_covers_all_rows(self, small_incomplete, rng):
-        seen = sum(v.shape[0] for v, _ in iterate_batches(small_incomplete, 32, rng))
+        plan = BatchPlan(batch_size=32, order="shuffled")
+        seen = sum(v.shape[0] for v, _ in iterate_batches(small_incomplete, plan, rng))
         assert seen == small_incomplete.n_samples
 
     def test_drop_last(self, small_incomplete, rng):
-        batches = list(iterate_batches(small_incomplete, 60, rng, drop_last=True))
+        plan = BatchPlan(batch_size=60, order="shuffled", drop_last=True)
+        batches = list(iterate_batches(small_incomplete, plan, rng))
         assert all(v.shape[0] == 60 for v, _ in batches)
 
     def test_no_shuffle_is_ordered(self, small_incomplete):
-        values, _ = next(iterate_batches(small_incomplete, 10, shuffle=False))
+        values, _ = next(iterate_batches(small_incomplete, BatchPlan(batch_size=10)))
         assert np.array_equal(
             np.nan_to_num(values), np.nan_to_num(small_incomplete.values[:10])
         )
 
     def test_mask_aligned_with_values(self, small_incomplete, rng):
-        for values, mask in iterate_batches(small_incomplete, 32, rng):
+        plan = BatchPlan(batch_size=32, order="shuffled")
+        for values, mask in iterate_batches(small_incomplete, plan, rng):
             assert np.array_equal(mask == 0.0, np.isnan(values))
 
     def test_invalid_batch_size(self, small_incomplete):
         with pytest.raises(ValueError):
-            list(iterate_batches(small_incomplete, 0))
+            list(iterate_batches(small_incomplete, BatchPlan(batch_size=0)))
 
 
 class TestBatchPlan:
@@ -366,54 +370,54 @@ class TestBatchPlan:
             )
 
     def test_plan_matches_legacy_flags(self, small_incomplete):
-        from repro.data import BatchPlan
-
+        # The retired spelling iterate_batches(ds, 32, order=perm,
+        # yield_indices=True) sliced ``perm`` into blocks of 32 rows.
         n = small_incomplete.n_samples
         perm = np.random.default_rng(3).permutation(n)
-        legacy = list(
-            iterate_batches(small_incomplete, 32, order=perm, yield_indices=True)
-        )
+        legacy = [perm[start : start + 32] for start in range(0, n, 32)]
         plan = BatchPlan(
             batch_size=32, order="fixed", permutation=perm, yield_indices=True
         )
-        planned = list(iterate_batches(small_incomplete, plan=plan))
+        planned = list(iterate_batches(small_incomplete, plan))
         assert len(legacy) == len(planned)
-        for (lv, lm, li), (pv, pm, pi) in zip(legacy, planned):
+        for li, (pv, pm, pi) in zip(legacy, planned):
             assert np.array_equal(li, pi)
-            assert np.array_equal(np.nan_to_num(lv), np.nan_to_num(pv))
-            assert np.array_equal(lm, pm)
+            assert np.array_equal(
+                np.nan_to_num(small_incomplete.values[li]), np.nan_to_num(pv)
+            )
+            assert np.array_equal(small_incomplete.mask[li], pm)
 
     def test_shuffled_plan_matches_legacy_shuffle(self, small_incomplete):
-        from repro.data import BatchPlan
-
-        legacy = list(
-            iterate_batches(small_incomplete, 32, np.random.default_rng(5))
-        )
+        # The retired spelling iterate_batches(ds, 32, rng) drew one
+        # permutation from ``rng`` and sliced it into blocks of 32 rows.
+        n = small_incomplete.n_samples
+        perm = np.random.default_rng(5).permutation(n)
+        legacy = [small_incomplete.values[perm[s : s + 32]] for s in range(0, n, 32)]
         planned = list(
             iterate_batches(
                 small_incomplete,
-                rng=np.random.default_rng(5),
-                plan=BatchPlan(batch_size=32, order="shuffled"),
+                BatchPlan(batch_size=32, order="shuffled"),
+                np.random.default_rng(5),
             )
         )
-        for (lv, _), (pv, _) in zip(legacy, planned):
+        assert len(legacy) == len(planned)
+        for lv, (pv, _) in zip(legacy, planned):
             assert np.array_equal(np.nan_to_num(lv), np.nan_to_num(pv))
 
-    def test_plan_plus_legacy_flags_raise(self, small_incomplete):
-        from repro.data import BatchPlan
-
+    def test_plan_plus_legacy_flags_raise(self, small_incomplete, rng):
+        # The flag spelling is retired: a plan is the one way to partition.
         plan = BatchPlan(batch_size=8)
         with pytest.raises(TypeError):
             list(iterate_batches(small_incomplete, 8, plan=plan))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             list(iterate_batches(small_incomplete))
+        with pytest.raises(TypeError, match="plan must be a BatchPlan"):
+            list(iterate_batches(small_incomplete, 32, rng))
 
     def test_fixed_permutation_must_cover_all_rows(self, small_incomplete):
-        from repro.data import BatchPlan
-
         plan = BatchPlan(batch_size=8, order="fixed", permutation=np.arange(3))
         with pytest.raises(ValueError):
-            list(iterate_batches(small_incomplete, plan=plan))
+            list(iterate_batches(small_incomplete, plan))
 
 
 class TestCsvIO:

@@ -451,7 +451,6 @@ class TestDimIntegration:
         assert snap["counters"]["sinkhorn.solves"] == sum(
             e.fields["stack"] for e in batched
         )
-        assert snap["counters"].get("sinkhorn.loop_solves", 0) == 0
         assert snap["histograms"]["sinkhorn.batched_iterations"]["count"] == sum(
             e.fields["stack"] for e in batched
         )
@@ -487,12 +486,21 @@ class TestSinkhornCacheObservability:
         cost = np.random.default_rng(3).random((8, 8))
         with recording() as rec:
             cold = sinkhorn(cost, SinkhornConfig(reg=1.0))
-            sinkhorn(cost, SinkhornConfig(reg=1.0), init=(cold.f, cold.g))
+            warm = sinkhorn(cost, SinkhornConfig(reg=1.0), init=(cold.f, cold.g))
         snap = rec.metrics.snapshot()
         assert snap["counters"]["sinkhorn.warm_starts"] == 1
         assert snap["histograms"]["sinkhorn.warm_iterations"]["count"] == 1
-        solves = [e for e in rec.events if e.name == "sinkhorn.solve"]
+        solves = [e for e in rec.events if e.name == "sinkhorn.batched_solve"]
+        assert [e.fields["stack"] for e in solves] == [1, 1]
         assert [e.fields["warm_started"] for e in solves] == [False, True]
+        assert [e.fields["iterations"] for e in solves] == [
+            cold.iterations,
+            warm.iterations,
+        ]
+        assert [e.fields["converged"] for e in solves] == [
+            int(cold.converged),
+            int(warm.converged),
+        ]
         text = summarize_trace(rec)
         assert "sinkhorn.warm_starts" in text
 

@@ -241,14 +241,24 @@ class TestWarmStart:
         cost = squared_euclidean_cost(x, y)
         with recording() as rec:
             cold = sinkhorn(cost, SinkhornConfig(reg=0.5))
-            sinkhorn(cost, SinkhornConfig(reg=0.5), init=(cold.f, cold.g))
+            warm = sinkhorn(cost, SinkhornConfig(reg=0.5), init=(cold.f, cold.g))
         counters = rec.metrics.snapshot()["counters"]
         assert counters["sinkhorn.solves"] == 2
         assert counters["sinkhorn.warm_starts"] == 1
         histograms = rec.metrics.snapshot()["histograms"]
         assert histograms["sinkhorn.warm_iterations"]["count"] == 1
-        solve_events = [e for e in rec.events if e.name == "sinkhorn.solve"]
+        # Each sinkhorn() call is one stacked solve of one problem.
+        solve_events = [e for e in rec.events if e.name == "sinkhorn.batched_solve"]
+        assert [e.fields["stack"] for e in solve_events] == [1, 1]
         assert [e.fields["warm_started"] for e in solve_events] == [False, True]
+        assert [e.fields["iterations"] for e in solve_events] == [
+            cold.iterations,
+            warm.iterations,
+        ]
+        assert [e.fields["converged"] for e in solve_events] == [
+            int(cold.converged),
+            int(warm.converged),
+        ]
 
 
 class TestSinkhornDivergence:
@@ -299,6 +309,21 @@ class TestMaskingSinkhornDivergence:
         x, _ = clouds
         mask = (rng.random(x.shape) > 0.3).astype(float)
         assert masking_sinkhorn_divergence(x + 1.0, x, mask, SinkhornConfig(reg=0.5)) > 0.0
+
+    def test_misshapen_masks_raise_naming_the_argument(self, rng, clouds):
+        # NumPy used to broadcast these into a finite, meaningless value.
+        x, _ = clouds
+        x_bar = x + 0.1
+        mask = (rng.random(x.shape) > 0.3).astype(float)
+        config = SinkhornConfig(reg=0.5)
+        with pytest.raises(ValueError, match=rf"mask must have x's shape \({x.shape[0]}, "):
+            masking_sinkhorn_divergence(x_bar, x, mask[0], config)
+        with pytest.raises(ValueError, match=r"mask .*got \(\d+, 1\)"):
+            masking_sinkhorn_divergence(x_bar, x, mask[:, :1], config)
+        with pytest.raises(ValueError, match="mask_bar"):
+            masking_sinkhorn_divergence(x_bar, x, mask, config, mask_bar=mask[:, :1])
+        with pytest.raises(ValueError, match="x_bar"):
+            masking_sinkhorn_divergence(x_bar[:-1], x, mask, config)
 
 
 class TestMaskingSinkhornLoss:

@@ -1,5 +1,6 @@
-"""Batched Sinkhorn: stacked-vs-loop parity, the SinkhornConfig redesign,
-and the one-release deprecation shim for the old knob-argument spelling."""
+"""Batched Sinkhorn: a stack against one-problem solves of its slices, the
+B=1 contract of ``sinkhorn()``, the SinkhornConfig redesign, and the retired
+knob spellings of the old deprecation shim, which now raise ``TypeError``."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ import pytest
 from repro.ot import (
     BatchedSinkhornResult,
     SinkhornConfig,
+    masked_cost_matrix,
     masking_sinkhorn_divergence,
     sinkhorn,
     sinkhorn_batched,
     sinkhorn_divergence,
+    squared_euclidean_cost,
 )
 
 PARITY_TOL = 1e-8
@@ -82,7 +85,7 @@ class TestBatchedLoopParity:
     def test_early_converged_problem_inside_running_stack(self, rng):
         # Mixed difficulty: near-constant costs converge in a sweep or two
         # while sharp ones keep iterating; each frozen problem must report
-        # exactly the loop solver's iteration count and duals.
+        # exactly its one-problem solve's iteration count and duals.
         easy = 1e-3 * rng.random((2, 8, 8))
         hard = 5.0 * rng.random((3, 8, 8))
         cost = np.concatenate([easy[:1], hard[:2], easy[1:], hard[2:]])
@@ -130,29 +133,56 @@ class TestBatchedLoopParity:
         assert half_warm.iterations[1] == cold.iterations[1]
 
     def test_divergences_agree_between_paths(self, rng):
+        # A stack of 3 against 3 one-problem stacks on the same costs.
         x = rng.random((12, 4))
         y = rng.random((12, 4))
         mask = (rng.random((12, 4)) > 0.3).astype(float)
         config = SinkhornConfig(reg=0.5)
         assert sinkhorn_divergence(x, y, config) == pytest.approx(
-            sinkhorn_divergence(x, y, config, batched=False), abs=PARITY_TOL
+            _divergence_oracle(
+                config,
+                squared_euclidean_cost(x, y),
+                squared_euclidean_cost(x, x),
+                squared_euclidean_cost(y, y),
+            ),
+            abs=PARITY_TOL,
         )
         assert masking_sinkhorn_divergence(y, x, mask, config) == pytest.approx(
-            masking_sinkhorn_divergence(y, x, mask, config, batched=False),
+            _divergence_oracle(
+                config,
+                masked_cost_matrix(y, mask, x, mask),
+                masked_cost_matrix(y, mask, y, mask),
+                masked_cost_matrix(x, mask, x, mask),
+            ),
             abs=PARITY_TOL,
         )
 
     def test_unequal_row_counts_fall_back_to_loop(self, rng):
-        # The three divergence problems have different shapes here, so the
-        # stacked fast path cannot apply; the fallback must still answer.
+        # The three divergence problems have different shapes here, so they
+        # cannot share a stack; each is solved on its own.
         x = rng.random((8, 3))
         y = rng.random((5, 3))
-        value = sinkhorn_divergence(x, y, SinkhornConfig(reg=0.5))
+        config = SinkhornConfig(reg=0.5)
+        value = sinkhorn_divergence(x, y, config)
         assert np.isfinite(value)
         assert value == pytest.approx(
-            sinkhorn_divergence(x, y, SinkhornConfig(reg=0.5), batched=False),
+            _divergence_oracle(
+                config,
+                squared_euclidean_cost(x, y),
+                squared_euclidean_cost(x, x),
+                squared_euclidean_cost(y, y),
+            ),
             abs=PARITY_TOL,
         )
+
+
+def _divergence_oracle(config, cross, self_a, self_b):
+    """``2·cross − self − self`` from three separate one-problem solves."""
+    return (
+        2.0 * sinkhorn(cross, config).value
+        - sinkhorn(self_a, config).value
+        - sinkhorn(self_b, config).value
+    )
 
 
 def _log_domain_reference(cost, config, a, b, f, g):
@@ -245,6 +275,36 @@ class TestScalingSweepMatchesLogDomain:
         assert len(calls) > 2
         zeros = (np.zeros((10, 5)), np.zeros((10, 4)))
         _assert_matches_reference(result, cost, config, a, b, zeros)
+
+    @pytest.mark.parametrize("shape", [(5, 7), (32, 32), (16, 24)])
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    @pytest.mark.parametrize("reg", [130.0, 1.0, 0.05, 1e-2, 1e-3])
+    def test_sinkhorn_is_the_one_problem_stack(self, rng, reg, scale, shape):
+        from repro.tensor.backend import get_backend
+
+        n, m = shape
+        config = SinkhornConfig(reg=reg, max_iter=200, tol=1e-9)
+        cost = scale * rng.random((n, m))
+        a, b = _uneven(rng, 1, n)[0], _uneven(rng, 1, m)[0]
+        warm = (rng.normal(0.0, 5.0, n), rng.normal(0.0, 5.0, m))
+        for init in (None, warm):
+            single = sinkhorn(cost, config, a=a, b=b, init=init)
+            stacked = sinkhorn_batched(
+                cost[None],
+                config,
+                a=a[None],
+                b=b[None],
+                init=None if init is None else (init[0][None], init[1][None]),
+            ).problem(0)
+            for name in (
+                "plan", "value", "transport_cost", "iterations", "converged",
+                "marginal_violation", "f", "g",
+            ):
+                got, want = getattr(single, name), getattr(stacked, name)
+                if get_backend().name == "numpy":
+                    assert np.array_equal(got, want), name
+                else:
+                    np.testing.assert_allclose(got, want, atol=1e-8, err_msg=name)
 
     def test_loop_solver_counts_absorptions(self, rng):
         from repro.obs import recording
@@ -344,32 +404,34 @@ class TestSinkhornConfig:
 
 
 class TestDeprecationShim:
+    """The shim's ``reg``/``max_iter``/``tol`` spellings are retired.
+
+    Each now fails with ``TypeError``; a bare ``reg`` in the config slot
+    is refused by name instead of dying on ``float.reg``.
+    """
+
     @pytest.fixture()
     def cost(self, rng):
         return rng.random((5, 5))
 
-    def test_positional_reg_warns_and_matches_config(self, cost):
-        with pytest.warns(DeprecationWarning, match="SinkhornConfig"):
-            legacy = sinkhorn(cost, 0.5, max_iter=200, tol=1e-8)
-        fresh = sinkhorn(cost, SinkhornConfig(reg=0.5, max_iter=200, tol=1e-8))
-        np.testing.assert_array_equal(legacy.plan, fresh.plan)
-        assert legacy.value == fresh.value
+    def test_positional_reg_raises(self, cost):
+        with pytest.raises(TypeError, match=r"config.*SinkhornConfig\(reg=\.\.\.\)"):
+            sinkhorn(cost, 0.5)
 
-    def test_keyword_reg_warns(self, cost):
-        with pytest.warns(DeprecationWarning):
+    def test_keyword_reg_raises(self, cost):
+        with pytest.raises(TypeError):
             sinkhorn(cost, reg=0.5)
 
-    def test_batched_shares_the_shim(self, cost):
-        with pytest.warns(DeprecationWarning):
-            stacked = sinkhorn_batched(cost[None], 0.5)
-        assert len(stacked) == 1
+    def test_batched_rejects_positional_reg(self, cost):
+        with pytest.raises(TypeError, match="config"):
+            sinkhorn_batched(cost[None], 0.5)
 
     def test_config_plus_legacy_kwargs_rejected(self, cost):
-        with pytest.raises(TypeError, match="both a SinkhornConfig"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             sinkhorn(cost, SinkhornConfig(reg=0.5), max_iter=10)
 
     def test_double_reg_rejected(self, cost):
-        with pytest.raises(TypeError, match="multiple values for 'reg'"):
+        with pytest.raises(TypeError, match="unexpected keyword"):
             sinkhorn(cost, 0.5, reg=0.5)
 
     def test_unknown_kwarg_rejected(self, cost):
@@ -377,16 +439,18 @@ class TestDeprecationShim:
             sinkhorn(cost, 0.5, regularizer=0.5)
 
     def test_missing_reg_rejected(self, cost):
-        with pytest.raises(TypeError, match="needs a SinkhornConfig"):
+        with pytest.raises(TypeError, match="config"):
             sinkhorn(cost)
 
-    def test_divergences_accept_legacy_form(self, rng):
+    def test_divergences_reject_legacy_form(self, rng):
         x = rng.random((6, 3))
-        with pytest.warns(DeprecationWarning):
-            legacy = sinkhorn_divergence(x, x, reg=0.5)
-        assert legacy == pytest.approx(
-            sinkhorn_divergence(x, x, SinkhornConfig(reg=0.5)), abs=1e-12
-        )
+        mask = np.ones_like(x)
+        with pytest.raises(TypeError):
+            sinkhorn_divergence(x, x, reg=0.5)
+        with pytest.raises(TypeError, match="config"):
+            sinkhorn_divergence(x, x, 0.5)
+        with pytest.raises(TypeError, match="config"):
+            masking_sinkhorn_divergence(x, x, mask, 0.5)
 
 
 class TestLossGradientParity:
@@ -398,24 +462,31 @@ class TestLossGradientParity:
         mask = (rng.random((n, d)) > 0.3).astype(float)
         return x_bar, x, mask
 
-    def _grad(self, batched, cloud):
+    def test_batched_and_loop_losses_agree_to_gradient(self, cloud):
+        # The loss's stacked solve against the NumPy divergence, S_m / (2n),
+        # in value and (by central differences) in gradient.
         from repro.ot import MaskingSinkhornLoss
         from repro.tensor import Tensor
 
         x_bar, x, mask = cloud
-        loss_fn = MaskingSinkhornLoss(
-            reg=0.5, max_iter=500, tol=1e-9, batched=batched
-        )
+        n = x.shape[0]
+        config = SinkhornConfig(reg=0.5, max_iter=500, tol=1e-9)
+        loss_fn = MaskingSinkhornLoss(reg=0.5, max_iter=500, tol=1e-9)
         x_bar_t = Tensor(x_bar, requires_grad=True)
         loss = loss_fn(x_bar_t, x, mask)
         loss.backward()
-        return float(loss.data), x_bar_t.grad
 
-    def test_batched_and_loop_losses_agree_to_gradient(self, cloud):
-        value_b, grad_b = self._grad(True, cloud)
-        value_l, grad_l = self._grad(False, cloud)
-        assert value_b == pytest.approx(value_l, abs=PARITY_TOL)
-        np.testing.assert_allclose(grad_b, grad_l, atol=PARITY_TOL)
+        def reference(points):
+            return masking_sinkhorn_divergence(points, x, mask, config) / (2 * n)
+
+        assert float(loss.data) == pytest.approx(reference(x_bar), abs=PARITY_TOL)
+        step = 1e-5
+        for i, j in [(0, 0), (3, 1), (9, 3)]:
+            up, down = x_bar.copy(), x_bar.copy()
+            up[i, j] += step
+            down[i, j] -= step
+            numeric = (reference(up) - reference(down)) / (2 * step)
+            assert x_bar_t.grad[i, j] == pytest.approx(numeric, abs=1e-6)
 
     def test_batched_loss_gradcheck(self, rng):
         from repro.ot import MaskingSinkhornLoss
@@ -425,9 +496,7 @@ class TestLossGradientParity:
         x = rng.random((n, d))
         mask = (rng.random((n, d)) > 0.3).astype(float)
         x_bar = Tensor(x + 0.1 * rng.normal(size=(n, d)), requires_grad=True)
-        loss_fn = MaskingSinkhornLoss(
-            reg=1.0, max_iter=1000, tol=1e-12, batched=True
-        )
+        loss_fn = MaskingSinkhornLoss(reg=1.0, max_iter=1000, tol=1e-12)
         check_gradients(
             lambda t: loss_fn(t, x, mask), [x_bar], atol=1e-4, rtol=1e-3
         )
@@ -445,7 +514,6 @@ class TestBatchedTelemetry:
         assert counters["sinkhorn.solves"] == 3.0
         assert counters["sinkhorn.batched_solves"] == 1.0
         assert counters["sinkhorn.batched_problems"] == 3.0
-        assert "sinkhorn.loop_solves" not in counters
         events = [e for e in rec.events if e.name == "sinkhorn.batched_solve"]
         assert len(events) == 1
         fields = events[0].fields

@@ -183,7 +183,6 @@ def _per_pair_oracle(model, i, j):
                 squared_euclidean_cost(x_j, x_j),
             ],
             model._sinkhorn_config,
-            batched=True,
             init=init,
         )
     model._cells.zero_grad()
@@ -309,7 +308,6 @@ class TestGradcheck:
                     squared_euclidean_cost(x_j, x_j),
                 ],
                 model._sinkhorn_config,
-                batched=True,
             )
         plans = (results[0].plan, results[1].plan, results[2].plan)
         check_gradients(

@@ -430,7 +430,6 @@ class TestChunkedDivergence:
         values = {
             backend: chunked_masking_sinkhorn_divergence(
                 x_bar, x, mask, SinkhornConfig(reg=0.5), chunk_size=16,
-                batched=False,  # keep the loop fan-out path exercised
                 context=ExecutionContext(backend, workers=2 if backend == "process" else None),
             )
             for backend in ("serial", "process")
@@ -450,12 +449,12 @@ class TestChunkedDivergence:
             (stop - start)
             * masking_sinkhorn_divergence(
                 x_bar[start:stop], x[start:stop], mask[start:stop],
-                SinkhornConfig(reg=0.5), batched=False,
+                SinkhornConfig(reg=0.5),
             )
             for start, stop in bounds
         ) / n
         chunked = chunked_masking_sinkhorn_divergence(
-            x_bar, x, mask, SinkhornConfig(reg=0.5), chunk_size=16, batched=False
+            x_bar, x, mask, SinkhornConfig(reg=0.5), chunk_size=16
         )
         assert chunked == pytest.approx(manual, abs=1e-15)
 
@@ -471,3 +470,17 @@ class TestChunkedDivergence:
         empty = np.zeros((0, 5))
         with pytest.raises(ValueError):
             chunked_masking_sinkhorn_divergence(empty, empty, empty, cfg)
+
+    @pytest.mark.parametrize("chunk_size", [40, 16])
+    def test_misshapen_mask_bar_raises_before_chunking(self, cloud, chunk_size):
+        # An (n, 1) mask_bar used to broadcast into a per-chunking value; a
+        # 1-D one failed inside a chunk task with an unnamed NumPy error.
+        from repro.ot import chunked_masking_sinkhorn_divergence
+
+        x_bar, x, mask = cloud
+        cfg = SinkhornConfig(reg=0.5)
+        for mask_bar in (mask[:, :1], mask[:, 0]):
+            with pytest.raises(ValueError, match="mask_bar must have x's shape"):
+                chunked_masking_sinkhorn_divergence(
+                    x_bar, x, mask, cfg, chunk_size=chunk_size, mask_bar=mask_bar
+                )

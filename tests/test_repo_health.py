@@ -224,7 +224,6 @@ class TestBackendDocConsistency:
             "sinkhorn.batched_stack_size",
             "sinkhorn.batched_sweeps",
             "sinkhorn.batched_iterations",
-            "sinkhorn.loop_solves",
         ):
             assert name in obs_text, f"docs/observability.md misses {name}"
 
