@@ -26,7 +26,6 @@ from .runner import (
     run_method,
     run_smoke_bench,
 )
-from .tuning import TuningResult, grid_search
 from .tables import format_series, format_table, results_to_json, save_results
 
 __all__ = [
@@ -56,6 +55,4 @@ __all__ = [
     "format_series",
     "results_to_json",
     "save_results",
-    "grid_search",
-    "TuningResult",
 ]

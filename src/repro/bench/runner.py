@@ -19,7 +19,7 @@ from ..core import SCIS
 from ..core.dim import DimConfig, DimImputer
 from ..data import HoldoutSplit, IncompleteDataset, MinMaxNormalizer, generate, holdout_split
 from ..models.base import Imputer
-from ..obs import get_recorder, trace
+from ..obs import get_recorder, span
 from ..parallel import ExecutionContext
 
 __all__ = [
@@ -110,7 +110,7 @@ def run_method(
     for seed in range(n_seeds):
         runner = factory(seed)
         start = time.perf_counter()
-        with trace("bench.run", method=name, dataset=case.name, seed=seed):
+        with span("bench.run", method=name, dataset=case.name, seed=seed):
             if isinstance(runner, SCIS):
                 result = runner.fit_transform(case.train)
                 imputed = result.imputed

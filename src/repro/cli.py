@@ -516,14 +516,14 @@ def _cmd_obs(args) -> int:
     elif args.action == "waterfall":
         from .obs import format_trace_index, format_waterfall
 
-        if args.trace_id is None:
-            text = format_trace_index(trace)
-        else:
-            try:
+        try:
+            if args.trace_id is None:
+                text = format_trace_index(trace)
+            else:
                 text = format_waterfall(trace, args.trace_id)
-            except ValueError as exc:
-                print(f"repro obs: {exc}", file=sys.stderr)
-                return 2
+        except ValueError as exc:
+            print(f"repro obs: {exc}", file=sys.stderr)
+            return 2
     elif args.action == "export":
         from .obs import prometheus_exposition
 

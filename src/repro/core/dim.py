@@ -26,7 +26,7 @@ from ..data.batches import BatchPlan, iterate_batches
 from ..data.dataset import IncompleteDataset
 from ..models.base import GenerativeImputer
 from ..nn import masked_mse_loss
-from ..obs import HealthMonitor, get_recorder, trace
+from ..obs import HealthMonitor, get_recorder, span
 from ..optim import Adam
 from ..ot import MaskingSinkhornLoss
 from ..tensor import Tensor
@@ -171,7 +171,7 @@ class DIM:
             epoch_start_step = steps
             adv_g_losses: List[float] = []
             adv_d_losses: List[float] = []
-            with trace("dim.epoch"):
+            with span("dim.epoch"):
                 for values, mask, index in iterate_batches(
                     dataset, rng=rng, plan=plan
                 ):

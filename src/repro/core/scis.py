@@ -24,7 +24,7 @@ import numpy as np
 
 from ..data.dataset import IncompleteDataset
 from ..models.base import GenerativeImputer, impute_equation
-from ..obs import get_recorder, trace
+from ..obs import get_recorder, span
 from ..parallel import ExecutionContext
 from ..tensor import no_grad
 from .dim import DIM, DimConfig, DimReport
@@ -121,7 +121,7 @@ class SCIS:
 
         # Line 2: train M₀ with the MS loss.
         self.model.build(dataset.n_features, rng=self._rng)
-        with trace("scis.initial_train"):
+        with span("scis.initial_train"):
             initial_report = self._dim.train(self.model, split.initial, self._rng)
         timings["initial_train"] = initial_report.seconds
 
@@ -135,7 +135,7 @@ class SCIS:
             seed=cfg.seed,
             context=ExecutionContext.from_env(workers=cfg.workers),
         )
-        with trace("scis.sse"):
+        with span("scis.sse"):
             sse.prepare(split.initial.values, split.initial.mask)
             sse_result = sse.estimate_minimum_size(cfg.initial_size, n_total)
         timings["sse"] = sse_result.seconds
@@ -146,7 +146,7 @@ class SCIS:
             sample = dataset.subsample(
                 sse_result.n_star, self._rng, name=f"{dataset.name}[n*]"
             )
-            with trace("scis.retrain"):
+            with span("scis.retrain"):
                 retrain_report = self._dim.train(self.model, sample, self._rng)
             timings["retrain"] = retrain_report.seconds
         else:
@@ -154,7 +154,7 @@ class SCIS:
 
         # Lines 6-7: impute the full matrix.
         start_impute = time.perf_counter()
-        with trace("scis.impute"):
+        with span("scis.impute"):
             imputed = self._impute_full(dataset)
         timings["impute"] = time.perf_counter() - start_impute
         timings["total"] = time.perf_counter() - start_total

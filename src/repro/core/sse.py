@@ -39,7 +39,7 @@ import numpy as np
 
 from ..models.base import GenerativeImputer
 from ..nn import flatten_gradients, flatten_parameters, load_flat_parameters
-from ..obs import get_recorder, trace
+from ..obs import get_recorder, span
 from ..parallel import ExecutionContext, derive_entropy, spawn_rng
 from ..tensor import no_grad
 
@@ -212,7 +212,7 @@ class SSE:
 
     def prepare(self, initial_values: np.ndarray, initial_mask: np.ndarray) -> None:
         """Compute ``H`` once; later posterior draws scale its inverse sqrt."""
-        with trace("sse.prepare"):
+        with span("sse.prepare"):
             diagonal = self.estimate_hessian_diagonal(initial_values, initial_mask)
         self._posterior_std_base = 1.0 / np.sqrt(diagonal)
 
@@ -330,7 +330,7 @@ class SSE:
 
         def passes(n: int) -> bool:
             if n not in evaluations:
-                with trace("sse.pass_probability"):
+                with span("sse.pass_probability"):
                     evaluations[n] = self.pass_probability(n, n_initial, n_total, d)
                 if recorder.enabled:
                     recorder.inc("sse.evaluations")

@@ -7,7 +7,6 @@ from .dataset import IncompleteDataset, SplitResult
 from .io import read_csv, write_csv
 from .missingness import HoldoutSplit, ampute, holdout_split
 from .normalize import MinMaxNormalizer, Standardizer
-from .profile import ColumnProfile, MissingnessProfile, profile_missingness
 from .shards import (
     ShardInfo,
     ShardManifest,
@@ -32,9 +31,6 @@ __all__ = [
     "SplitResult",
     "MinMaxNormalizer",
     "Standardizer",
-    "profile_missingness",
-    "MissingnessProfile",
-    "ColumnProfile",
     "CsvRowStream",
     "ScanResult",
     "reservoir_sample",

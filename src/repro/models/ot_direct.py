@@ -60,7 +60,7 @@ import numpy as np
 from ..data.batches import BatchPlan
 from ..data.dataset import IncompleteDataset
 from ..nn import Linear, Module, Parameter, ReLU, Sequential, Sigmoid
-from ..obs import HealthMonitor, get_recorder, trace
+from ..obs import HealthMonitor, get_recorder, span
 from ..obs.health import HEALTH_POLICIES
 from ..optim import Adam
 from ..ot.cost import squared_euclidean_cost, squared_euclidean_cost_tensor
@@ -481,7 +481,7 @@ class SinkhornImputer(GenerativeImputer):
                 self._batch_indices = self._partition(rng)
             pairs = self._round_pairs(round_index, len(self._batch_indices))
             n_chunks = min(workers, len(pairs))
-            with trace("otdirect.round"):
+            with span("otdirect.round"):
                 chunks = context.run(
                     self._make_chunk_tasks(pairs, n_chunks), label="otdirect.pairs"
                 )
@@ -554,7 +554,7 @@ class SinkhornImputer(GenerativeImputer):
         rng = np.random.default_rng(self.seed)
         recorder = get_recorder()
         self._prepare(dataset, rng)
-        with trace("otdirect.fit"):
+        with span("otdirect.fit"):
             report = self._run_rounds(rng)
             # The transductive answer: observed bytes untouched, missing
             # cells replaced by the optimised parameters.

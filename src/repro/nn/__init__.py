@@ -13,7 +13,6 @@ from .layers import (
     Tanh,
     mlp,
 )
-from .normalization import BatchNorm1d, LayerNorm
 from .losses import bce_loss, masked_bce_loss, masked_mse_loss, mse_loss
 from .module import (
     Module,
@@ -38,8 +37,6 @@ __all__ = [
     "Softplus",
     "Identity",
     "Dropout",
-    "LayerNorm",
-    "BatchNorm1d",
     "mlp",
     "mse_loss",
     "masked_mse_loss",

@@ -30,7 +30,6 @@ from .export import (
 from .health import HealthConfig, HealthMonitor
 from .live import (
     LiveAggregator,
-    QuantileDigest,
     SlidingWindow,
     StreamingRecorder,
     prometheus_exposition,
@@ -53,9 +52,8 @@ from .recorder import (
     get_recorder,
     recording,
     set_recorder,
-    trace,
 )
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
+from .registry import Counter, Gauge, Histogram, MetricsRegistry, QuantileDigest
 from .tracing import (
     TraceContext,
     current_trace,
@@ -82,7 +80,6 @@ __all__ = [
     "get_recorder",
     "set_recorder",
     "recording",
-    "trace",
     "trace_to_dict",
     "write_json_trace",
     "load_trace",

@@ -4,13 +4,9 @@ The recorder layer aggregates for *post-hoc* export; this module serves
 the *while-it-runs* questions — "what is p95 latency right now?" — from
 the same event stream:
 
-:class:`QuantileDigest`
-    A deterministic, mergeable streaming quantile sketch: a bounded list
-    of weighted centroids compacted by equal-weight re-binning (no RNG, so
-    two ingests of the same stream summarize identically).  Memory is
-    O(``max_centroids``) regardless of stream length.
 :class:`SlidingWindow`
-    Time-bucketed digests over the last ``window_seconds``; a snapshot
+    Time-bucketed :class:`~repro.obs.registry.QuantileDigest` sketches
+    over the last ``window_seconds``; a snapshot
     merges the live buckets into one digest, so quantiles age out as the
     window slides.
 :class:`LiveAggregator`
@@ -41,116 +37,15 @@ from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from .export import _jsonify
 from .recorder import Event, InMemoryRecorder
+from .registry import QuantileDigest
 
 __all__ = [
-    "QuantileDigest",
     "SlidingWindow",
     "LiveAggregator",
     "prometheus_exposition",
     "StreamingRecorder",
     "tail_events",
 ]
-
-
-class QuantileDigest:
-    """Deterministic mergeable quantile sketch over weighted centroids.
-
-    Values are held exactly until ``max_centroids`` is exceeded, then
-    compacted into at most ``max_centroids // 2`` equal-weight bins (the
-    stream minimum and maximum survive compaction verbatim, so extreme
-    quantiles stay exact).  Compaction is purely rank-based — no sampling,
-    no RNG — so the sketch is reproducible and order-robust.
-    """
-
-    __slots__ = ("max_centroids", "count", "total", "min", "max", "_centroids")
-
-    def __init__(self, max_centroids: int = 128) -> None:
-        if max_centroids < 4:
-            raise ValueError(f"max_centroids must be >= 4, got {max_centroids}")
-        self.max_centroids = max_centroids
-        self.count = 0.0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self._centroids: List[List[float]] = []  # sorted [value, weight]
-
-    def add(self, value: float, weight: float = 1.0) -> None:
-        value = float(value)
-        if not math.isfinite(value) or weight <= 0:
-            return
-        self.count += weight
-        self.total += value * weight
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        lo, hi = 0, len(self._centroids)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._centroids[mid][0] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._centroids.insert(lo, [value, float(weight)])
-        if len(self._centroids) > self.max_centroids:
-            self._compress()
-
-    def merge(self, other: "QuantileDigest") -> None:
-        """Fold another digest's centroids into this one."""
-        for value, weight in other._centroids:
-            self.add(value, weight)
-
-    def _compress(self) -> None:
-        bins = max(2, self.max_centroids // 2)
-        per_bin = self.count / bins
-        merged: List[List[float]] = []
-        acc_value, acc_weight = 0.0, 0.0
-        for value, weight in self._centroids:
-            acc_value += value * weight
-            acc_weight += weight
-            if acc_weight >= per_bin:
-                merged.append([acc_value / acc_weight, acc_weight])
-                acc_value, acc_weight = 0.0, 0.0
-        if acc_weight > 0:
-            merged.append([acc_value / acc_weight, acc_weight])
-        self._centroids = merged
-
-    @property
-    def mean(self) -> Optional[float]:
-        return self.total / self.count if self.count else None
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Estimate the ``q``-quantile (``q`` in [0, 1])."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._centroids:
-            return None
-        if q <= 0.0:
-            return self.min
-        if q >= 1.0:
-            return self.max
-        target = q * self.count
-        cum = 0.0
-        prev_value, prev_center = self.min, 0.0
-        for value, weight in self._centroids:
-            center = cum + weight / 2.0
-            if center >= target:
-                if center == prev_center:
-                    return value
-                frac = (target - prev_center) / (center - prev_center)
-                return prev_value + frac * (value - prev_value)
-            cum += weight
-            prev_value, prev_center = value, center
-        return self.max
-
-    def summary(self) -> Dict[str, Optional[float]]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-        }
 
 
 class SlidingWindow:
@@ -162,19 +57,13 @@ class SlidingWindow:
     write, keeping memory at O(``buckets`` × digest).
     """
 
-    def __init__(
-        self,
-        window_seconds: float = 60.0,
-        buckets: int = 12,
-        max_centroids: int = 128,
-    ) -> None:
+    def __init__(self, window_seconds: float = 60.0, buckets: int = 12) -> None:
         if window_seconds <= 0:
             raise ValueError(f"window_seconds must be > 0, got {window_seconds}")
         if buckets < 1:
             raise ValueError(f"buckets must be >= 1, got {buckets}")
         self.window_seconds = float(window_seconds)
         self.buckets = buckets
-        self.max_centroids = max_centroids
         self._span = self.window_seconds / buckets
         self._digests: Dict[int, QuantileDigest] = {}
         self.last_t: Optional[float] = None
@@ -186,7 +75,7 @@ class SlidingWindow:
         index = self._bucket(t)
         digest = self._digests.get(index)
         if digest is None:
-            digest = self._digests[index] = QuantileDigest(self.max_centroids)
+            digest = self._digests[index] = QuantileDigest()
             oldest = index - self.buckets
             for stale in [i for i in self._digests if i <= oldest]:
                 del self._digests[stale]
@@ -203,7 +92,7 @@ class SlidingWindow:
         if now is None:
             now = self.last_t if self.last_t is not None else 0.0
         oldest = self._bucket(now) - self.buckets
-        merged = QuantileDigest(self.max_centroids)
+        merged = QuantileDigest()
         for index, digest in sorted(self._digests.items()):
             if index > oldest:
                 merged.merge(digest)

@@ -1,4 +1,4 @@
-"""Recorders and span timers: the event half of the observability layer.
+"""Recorders: the event half of the observability layer.
 
 The instrumentation contract (documented in ``docs/observability.md``) is
 deliberately tiny so every layer of the stack can afford it:
@@ -11,9 +11,10 @@ deliberately tiny so every layer of the stack can afford it:
   :func:`recording` context manager), instrumented code emits structured
   :class:`Event` rows and updates metrics on the recorder's
   :class:`~repro.obs.registry.MetricsRegistry`.
-* :func:`trace` times a code block as a named span; spans nest, and each
-  close emits a ``span`` event carrying its name, depth, parent, and
-  duration, plus a ``span.<name>.seconds`` histogram observation.
+* :func:`repro.obs.tracing.span` times a code block as a named span on top
+  of this layer: each close emits one ``span`` event carrying the span's
+  trace identity and duration, plus a ``span.<name>.seconds`` histogram
+  observation.
 
 Pure standard library by design — this module sits below ``repro.tensor``
 in the dependency order and must not import anything from ``repro``.
@@ -37,7 +38,6 @@ __all__ = [
     "get_recorder",
     "set_recorder",
     "recording",
-    "trace",
 ]
 
 
@@ -138,7 +138,6 @@ class InMemoryRecorder(Recorder):
         self._start = time.perf_counter() if clock_anchor is None else clock_anchor
         self.anchored = clock_anchor is not None
         self._lock = threading.Lock()
-        self._spans = threading.local()
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -162,22 +161,13 @@ class InMemoryRecorder(Recorder):
             else:
                 self.dropped_events += 1
 
-    # ------------------------------------------------------------------
-    # Span bookkeeping (used by trace(); stack is per-thread)
-    # ------------------------------------------------------------------
-    def _span_stack(self) -> List[str]:
-        stack = getattr(self._spans, "stack", None)
-        if stack is None:
-            stack = []
-            self._spans.stack = stack
-        return stack
-
     def to_dict(self, include_samples: bool = False) -> Dict[str, object]:
         """JSON-ready trace: events, metric snapshot, bookkeeping.
 
-        ``include_samples`` adds each histogram's raw reservoir to the
+        ``include_samples`` adds each histogram's digest centroids to the
         snapshot so another recorder can :meth:`absorb` the trace with
-        exact moments (worker→parent merging in ``repro.parallel``).
+        exact moments and merged quantiles (worker→parent merging in
+        ``repro.parallel``).
         """
         with self._lock:
             events = [event.to_dict() for event in self.events]
@@ -201,9 +191,9 @@ class InMemoryRecorder(Recorder):
         original timestamps — they are already on this recorder's clock —
         while unanchored events are re-stamped at absorb time; counters
         add, gauges take the child's last value, and histograms merge via
-        :meth:`Histogram.absorb` — count/total/mean/min/max exactly,
-        quantiles approximately.  Callers should absorb child traces in a
-        deterministic order (task order).
+        :meth:`Histogram.absorb` — count/total/mean/min/max exactly, the
+        quantile digests by merging their centroids.  Callers should absorb
+        child traces in a deterministic order (task order).
         """
         anchored = bool(trace.get("anchored"))
         for event in trace.get("events", []):
@@ -229,7 +219,8 @@ class InMemoryRecorder(Recorder):
                 total=summary.get("total", 0.0),
                 minimum=summary.get("min"),
                 maximum=summary.get("max"),
-                samples=summary.get("samples"),
+                centroids=summary.get("centroids"),
+                nonfinite=summary.get("nonfinite", 0),
             )
         dropped = int(trace.get("dropped_events", 0))
         if dropped:
@@ -273,33 +264,3 @@ def recording(recorder: Optional[InMemoryRecorder] = None) -> Iterator[InMemoryR
         yield rec
     finally:
         set_recorder(previous)
-
-
-@contextmanager
-def trace(name: str, recorder: Optional[Recorder] = None, **fields: object) -> Iterator[None]:
-    """Time a block as a span named ``name``.
-
-    No-op (and allocation-free) when the active recorder is disabled.  On
-    close, emits a ``span`` event with the span's name, nesting depth,
-    parent span (or ``None``), duration, and any extra ``fields``, and
-    observes the duration in the ``span.<name>.seconds`` histogram.
-    """
-    rec = recorder if recorder is not None else _active
-    if not rec.enabled:
-        yield
-        return
-    stack = rec._span_stack() if isinstance(rec, InMemoryRecorder) else []
-    parent = stack[-1] if stack else None
-    depth = len(stack)
-    stack.append(name)
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        seconds = time.perf_counter() - start
-        if stack and stack[-1] == name:
-            stack.pop()
-        rec.observe(f"span.{name}.seconds", seconds)
-        rec.emit(
-            "span", span=name, seconds=seconds, depth=depth, parent=parent, **fields
-        )

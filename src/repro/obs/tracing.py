@@ -1,10 +1,10 @@
-"""Request-scoped distributed tracing: trace/span identity and waterfalls.
+"""Spans and request-scoped tracing: trace/span identity and waterfalls.
 
-The recorder layer (:mod:`repro.obs.recorder`) times code blocks as nested
-spans, but its ``span`` events only know their lexical parent on the
-current thread — once a serving request crosses the dispatcher queue or a
-sharded run fans out into fork workers, causality is lost.  This module
-adds the missing identity:
+Every timed block in the stack — a DIM epoch, an SSE probe, a serving
+request's queue wait — is a span of this one model.  Identity, not the
+lexical stack of the current thread, links spans, so causality survives
+a serving request crossing the dispatcher queue or a sharded run fanning
+out into fork workers:
 
 :class:`TraceContext`
     An immutable ``(trace_id, span_id, parent_span_id)`` triple.  One
@@ -33,6 +33,7 @@ Pure standard library by design — same layering rule as the rest of
 from __future__ import annotations
 
 import threading
+import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -129,7 +130,7 @@ def trace_context(ctx: Optional[TraceContext]) -> Iterator[Optional[TraceContext
 
 def record_span(
     name: str,
-    ctx: Optional[TraceContext],
+    ctx: TraceContext,
     seconds: float,
     start: Optional[float] = None,
     recorder: Optional[Recorder] = None,
@@ -148,8 +149,7 @@ def record_span(
     payload: Dict[str, object] = {"span": name, "seconds": float(seconds)}
     if start is not None:
         payload["start"] = float(start)
-    if ctx is not None:
-        payload.update(ctx.to_dict())
+    payload.update(ctx.to_dict())
     payload.update(fields)
     rec.emit("span", **payload)
 
@@ -166,8 +166,6 @@ def span(
     emitted on close with the context and a ``start`` clock offset.  With a
     disabled recorder the block runs untimed and ``None`` is yielded.
     """
-    import time
-
     rec = recorder if recorder is not None else get_recorder()
     if not rec.enabled:
         yield None
@@ -198,11 +196,12 @@ def span(
 def spans_of_trace(
     trace: TraceLike, trace_id: Optional[str] = None
 ) -> List[Dict[str, object]]:
-    """Extract traced spans (events carrying a ``trace_id``) from a trace.
+    """Extract the ``span`` events of a trace.
 
     Each returned dict has ``name`` / ``seconds`` / ``start`` /
     ``trace_id`` / ``span_id`` / ``parent_span_id`` plus any extra span
-    fields; ``trace_id`` filters to one request's spans.
+    fields; ``trace_id`` filters to one request's spans.  A ``span``
+    event without trace identity raises ``ValueError``.
     """
     spans: List[Dict[str, object]] = []
     for event in trace_to_dict(trace)["events"]:
@@ -210,7 +209,7 @@ def spans_of_trace(
             continue
         fields = event.get("fields", {})
         if "trace_id" not in fields:
-            continue  # legacy depth/parent span with no trace identity
+            raise ValueError(f"span {fields.get('span')!r} carries no trace_id")
         if trace_id is not None and fields["trace_id"] != trace_id:
             continue
         seconds = float(fields["seconds"])

@@ -1,22 +1,10 @@
-"""First-order optimisers and learning-rate schedules."""
+"""First-order optimisers."""
 
 from .optimizers import SGD, Adam, Optimizer, RMSprop
-from .schedulers import (
-    CosineAnnealing,
-    ExponentialDecay,
-    LinearWarmup,
-    Scheduler,
-    StepDecay,
-)
 
 __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
     "RMSprop",
-    "Scheduler",
-    "StepDecay",
-    "ExponentialDecay",
-    "CosineAnnealing",
-    "LinearWarmup",
 ]

@@ -132,50 +132,3 @@ class TestTables:
         save_results(results, path)
         assert json.loads(path.read_text())[1]["sample_rate"] == 0.23
 
-
-class TestGridSearch:
-    def test_finds_better_configuration(self, rng):
-        from repro.bench import grid_search
-        from repro.data import IncompleteDataset, ampute
-        from repro.models import KNNImputer
-
-        latent = rng.normal(size=(300, 2))
-        full = latent @ rng.normal(size=(2, 5))
-        ds = ampute(IncompleteDataset(full), 0.3, "mcar", rng)
-        result = grid_search(
-            lambda **kw: KNNImputer(**kw), ds, {"k": [1, 5, 25]}, seed=0
-        )
-        assert len(result.trials) == 3
-        assert result.best.rmse == min(t.rmse for t in result.trials)
-        assert "k" in result.best.params
-        assert "rmse" in result.summary()
-
-    def test_multi_parameter_product(self, rng):
-        from repro.bench import grid_search
-        from repro.data import IncompleteDataset, ampute
-        from repro.models import MICEImputer
-
-        ds = ampute(IncompleteDataset(rng.normal(size=(120, 4))), 0.2, "mcar", rng)
-        result = grid_search(
-            lambda **kw: MICEImputer(**kw),
-            ds,
-            {"n_imputations": [1, 2], "n_iterations": [1, 2]},
-            seed=0,
-        )
-        assert len(result.trials) == 4
-
-    def test_empty_grid_raises(self, rng):
-        from repro.bench import grid_search
-        from repro.data import IncompleteDataset
-        from repro.models import MeanImputer
-
-        with pytest.raises(ValueError):
-            grid_search(
-                lambda **kw: MeanImputer(), IncompleteDataset(rng.normal(size=(10, 2))), {}
-            )
-
-    def test_best_on_empty_trials_raises(self):
-        from repro.bench.tuning import TuningResult
-
-        with pytest.raises(ValueError):
-            _ = TuningResult().best

@@ -205,3 +205,26 @@ class TestDimImputer:
             DimImputer(GAINImputer(), subsample_fraction=0.0)
         with _pytest.raises(ValueError):
             DimImputer(GAINImputer(), subsample_fraction=1.5)
+
+
+class TestDimEarlyStopping:
+    def test_stops_before_budget(self, small_incomplete, rng):
+        holdout = holdout_split(small_incomplete, 0.2, rng)
+        config = DimConfig(
+            epochs=60,
+            early_stopping_patience=2,
+            early_stopping_min_delta=1e-3,
+        )
+        report = DIM(config).train(GAINImputer(seed=0), holdout.train, rng)
+        assert report.epochs < 60
+
+    def test_disabled_by_default(self, small_incomplete, rng):
+        holdout = holdout_split(small_incomplete, 0.2, rng)
+        report = DIM(DimConfig(epochs=5)).train(GAINImputer(seed=0), holdout.train, rng)
+        assert report.epochs == 5
+
+    def test_huge_patience_runs_full_budget(self, small_incomplete, rng):
+        holdout = holdout_split(small_incomplete, 0.2, rng)
+        config = DimConfig(epochs=4, early_stopping_patience=100)
+        report = DIM(config).train(GAINImputer(seed=0), holdout.train, rng)
+        assert report.epochs == 4

@@ -1,9 +1,9 @@
-"""Gaussian EM imputer and the missingness profiler."""
+"""Gaussian EM imputer."""
 
 import numpy as np
 import pytest
 
-from repro.data import IncompleteDataset, ampute, holdout_split, profile_missingness
+from repro.data import IncompleteDataset, ampute, holdout_split
 from repro.models import GaussianEMImputer, MeanImputer, make_imputer
 
 
@@ -76,56 +76,3 @@ class TestGaussianEM:
         with pytest.raises(RuntimeError):
             GaussianEMImputer().transform(gaussian_case.train)
 
-
-class TestProfiler:
-    def test_basic_counts(self):
-        ds = IncompleteDataset(
-            np.array([[1.0, np.nan], [2.0, 3.0], [np.nan, 4.0]]),
-            feature_names=["a", "b"],
-        )
-        profile = profile_missingness(ds)
-        assert profile.n_samples == 3
-        assert profile.n_features == 2
-        assert profile.complete_rows == 1
-        assert profile.overall_missing_rate == pytest.approx(2 / 6)
-
-    def test_column_stats(self):
-        ds = IncompleteDataset(np.array([[1.0, 10.0], [3.0, np.nan]]))
-        profile = profile_missingness(ds)
-        col_a = profile.columns[0]
-        assert col_a.missing_rate == 0.0
-        assert col_a.mean == pytest.approx(2.0)
-        assert profile.columns[1].observed_count == 1
-
-    def test_pattern_counts_sorted(self, rng):
-        values = rng.normal(size=(100, 3))
-        values[:70, 0] = np.nan  # dominant pattern: first column missing
-        profile = profile_missingness(IncompleteDataset(values))
-        top_pattern, top_count = profile.pattern_counts[0]
-        assert top_pattern == "011"
-        assert top_count == 70
-
-    def test_mnar_flagged_as_suspect(self, rng):
-        # Column 0's value drives its own missingness (strong MNAR).
-        values = rng.normal(size=(2000, 2))
-        drop = values[:, 0] > 0.3
-        observed_pair = values.copy()
-        observed_pair[drop, 1] = np.nan  # column 1 goes missing when col 0 large
-        profile = profile_missingness(IncompleteDataset(observed_pair))
-        assert profile.mcar_suspects  # the f0-vs-missing(f1) shift is detected
-
-    def test_mcar_clean_data_has_few_suspects(self, rng):
-        values = rng.normal(size=(1000, 3))
-        ds = ampute(IncompleteDataset(values), 0.3, "mcar", rng)
-        profile = profile_missingness(ds, mcar_threshold=4.0)
-        assert len(profile.mcar_suspects) <= 1
-
-    def test_summary_renders(self, small_incomplete):
-        text = profile_missingness(small_incomplete).summary()
-        assert "rows" in text
-        assert "column" in text
-
-    def test_pattern_counting_skipped_for_huge_tables(self, rng):
-        ds = IncompleteDataset(rng.normal(size=(50, 2)))
-        profile = profile_missingness(ds, max_pattern_rows=10)
-        assert profile.pattern_counts == []

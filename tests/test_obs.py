@@ -20,13 +20,14 @@ from repro.obs import (
     InMemoryRecorder,
     MetricsRegistry,
     NullRecorder,
+    current_trace,
     events_to_csv,
     get_recorder,
     load_trace,
     recording,
     set_recorder,
+    span,
     summarize_trace,
-    trace,
     trace_to_dict,
     write_csv_events,
     write_json_trace,
@@ -62,23 +63,85 @@ class TestRegistry:
         assert hist.percentile(0) == 1.0
         assert hist.percentile(100) == 4.0
 
-    def test_histogram_reservoir_bounds_memory(self):
-        hist = Histogram("h", max_samples=16)
+    def test_histogram_digest_bounds_memory(self):
+        hist = Histogram("h")
         for v in range(1000):
             hist.observe(float(v))
-        assert hist.count == 1000  # exact even past the reservoir bound
+        assert hist.count == 1000  # exact even past the digest bound
+        assert hist.total == float(sum(range(1000)))
         assert hist.min == 0.0 and hist.max == 999.0
-        assert len(hist._samples) == 16
+        assert len(hist.digest._centroids) <= hist.digest.max_centroids
+
+    def test_histogram_exact_up_to_digest_bound(self):
+        hist = Histogram("h")
+        values = [float((v * 37) % 101) for v in range(hist.digest.max_centroids)]
+        for v in values:
+            hist.observe(v)
+        ordered = sorted(values)
+        n = len(ordered)
+        # Below the bound every observation is its own centroid, so each
+        # quantile interpolates between two adjacent order statistics.
+        for q in (50.0, 90.0, 95.0, 99.0):
+            rank = q / 100.0 * n - 0.5
+            lo = ordered[max(0, int(rank))]
+            hi = ordered[min(n - 1, int(rank) + 1)]
+            assert lo <= hist.percentile(q) <= hi, q
+
+    @pytest.mark.parametrize("order", ["nan_first", "nan_middle"])
+    def test_histogram_ignores_nonfinite_in_any_order(self, order):
+        stream = {
+            "nan_first": [float("nan"), 1.0, 2.0],
+            "nan_middle": [1.0, float("nan"), 2.0],
+        }[order]
+        hist = Histogram("h")
+        for v in stream + [float("inf")]:
+            hist.observe(v)
+        summary = hist.summary()
+        assert summary["count"] == 2 and summary["nonfinite"] == 2
+        assert summary["total"] == 3.0 and summary["mean"] == 1.5
+        assert summary["min"] == 1.0 and summary["max"] == 2.0
+        assert summary["p50"] == 1.5
+
+    def test_histogram_absorb_sums_nonfinite(self):
+        parent, child = InMemoryRecorder(), InMemoryRecorder()
+        parent.observe("loss", float("nan"))
+        child.observe("loss", 2.0)
+        child.observe("loss", float("-inf"))
+        parent.absorb(child.to_dict(include_samples=True))
+        merged = parent.metrics.histogram("loss")
+        assert merged.nonfinite == 2
+        assert merged.count == 1 and merged.mean == 2.0
+        assert merged.percentile(50.0) == 2.0
+
+    def test_histogram_merge_rank_error_bounded(self):
+        """4×500 observations merged through child traces keep p50/p99
+        within 0.02 rank of the exact quantiles of the pooled stream."""
+        parent = InMemoryRecorder()
+        pooled = []
+        for part in range(4):
+            child = InMemoryRecorder()
+            for i in range(500):
+                value = float(((i * 7919 + part * 104729) % 10007) ** 1.5)
+                child.observe("h", value)
+                pooled.append(value)
+            parent.absorb(child.to_dict(include_samples=True))
+        merged = parent.metrics.histogram("h")
+        assert merged.count == 2000
+        ordered = sorted(pooled)
+        for q in (50.0, 99.0):
+            estimate = merged.percentile(q)
+            rank = sum(v <= estimate for v in ordered) / len(ordered)
+            assert abs(rank - q / 100.0) <= 0.02, (q, rank)
 
     def test_histogram_percentiles_stable_across_hash_seeds(self):
-        """The reservoir RNG is seeded from the metric name via crc32, so
-        percentile estimates must not depend on PYTHONHASHSEED."""
+        """Histogram quantiles come from a digest with no RNG, so they must
+        not depend on PYTHONHASHSEED."""
         import subprocess
         import sys
 
         script = (
             "from repro.obs import Histogram\n"
-            "h = Histogram('span.dim.epoch.seconds', max_samples=32)\n"
+            "h = Histogram('span.dim.epoch.seconds')\n"
             "for v in range(1000):\n"
             "    h.observe(float(v))\n"
             "print(h.percentile(50), h.percentile(90), h.percentile(99))\n"
@@ -93,7 +156,7 @@ class TestRegistry:
             )
             assert result.returncode == 0, result.stderr
             outputs.add(result.stdout.strip())
-        assert len(outputs) == 1, f"reservoir varies with hash seed: {outputs}"
+        assert len(outputs) == 1, f"quantiles vary with hash seed: {outputs}"
 
     def test_registry_get_or_create(self):
         registry = MetricsRegistry()
@@ -189,65 +252,76 @@ class TestRecorderLifecycle:
 
 class TestSpans:
     def test_trace_disabled_is_noop(self):
-        with trace("outer"):
+        with span("outer") as ctx:
             pass  # no recorder attached: must not raise or record anything
+        assert ctx is None
+        assert current_trace() is None
 
     def test_span_event_and_histogram(self):
         with recording() as rec:
-            with trace("solve", extra="tag"):
+            with span("solve", extra="tag") as ctx:
                 pass
         spans = [e for e in rec.events if e.name == "span"]
         assert len(spans) == 1
-        assert spans[0].fields["span"] == "solve"
-        assert spans[0].fields["depth"] == 0
-        assert spans[0].fields["parent"] is None
-        assert spans[0].fields["extra"] == "tag"
-        assert spans[0].fields["seconds"] >= 0.0
+        fields = spans[0].fields
+        assert fields["span"] == "solve"
+        assert fields["trace_id"] == ctx.trace_id
+        assert fields["span_id"] == ctx.span_id
+        assert fields["parent_span_id"] is None
+        assert fields["extra"] == "tag"
+        assert fields["seconds"] >= 0.0
+        assert fields["start"] >= 0.0
         assert rec.metrics.histogram("span.solve.seconds").count == 1
 
     def test_span_nesting_depth_and_parent(self):
         with recording() as rec:
-            with trace("outer"):
-                with trace("inner"):
+            with span("outer"):
+                with span("inner"):
                     pass
-                with trace("inner"):
+                with span("inner"):
                     pass
         spans = [e.fields for e in rec.events if e.name == "span"]
         inner = [s for s in spans if s["span"] == "inner"]
         outer = [s for s in spans if s["span"] == "outer"]
         assert len(inner) == 2 and len(outer) == 1
-        assert all(s["depth"] == 1 and s["parent"] == "outer" for s in inner)
-        assert outer[0]["depth"] == 0 and outer[0]["parent"] is None
+        assert outer[0]["parent_span_id"] is None
+        assert all(s["parent_span_id"] == outer[0]["span_id"] for s in inner)
+        assert inner[0]["span_id"] != inner[1]["span_id"]
+        assert {s["trace_id"] for s in spans} == {outer[0]["trace_id"]}
         # inner spans close before (and are recorded before) the outer one
         assert rec.metrics.histogram("span.inner.seconds").count == 2
 
     def test_span_restores_stack_on_exception(self):
         with recording() as rec:
             with pytest.raises(ValueError):
-                with trace("outer"):
+                with span("outer"):
                     raise ValueError("boom")
-            with trace("after"):
+            with span("after"):
                 pass
-        after = [e.fields for e in rec.events if e.fields.get("span") == "after"]
-        assert after[0]["depth"] == 0 and after[0]["parent"] is None
+        spans = {e.fields["span"]: e.fields for e in rec.events if e.name == "span"}
+        assert spans["after"]["parent_span_id"] is None
+        assert spans["after"]["trace_id"] != spans["outer"]["trace_id"]
 
     def test_deep_raise_unwinds_every_stack_level(self):
-        # A raise three levels down must pop all three frames — a later
-        # span at top level sees depth 0, not a leaked lineage.
+        # A raise three levels down must restore every ambient context — a
+        # later span at top level roots a fresh trace, not a leaked lineage.
         with recording() as rec:
             with pytest.raises(RuntimeError):
-                with trace("a"):
-                    with trace("b"):
-                        with trace("c"):
+                with span("a"):
+                    with span("b"):
+                        with span("c"):
                             raise RuntimeError("boom")
-            with trace("after"):
+            assert current_trace() is None
+            with span("after"):
                 pass
         spans = {e.fields["span"]: e.fields for e in rec.events if e.name == "span"}
         # Every abandoned span still closed (emitted) with its true lineage.
-        assert spans["c"]["depth"] == 2 and spans["c"]["parent"] == "b"
-        assert spans["b"]["depth"] == 1 and spans["b"]["parent"] == "a"
-        assert spans["a"]["depth"] == 0 and spans["a"]["parent"] is None
-        assert spans["after"]["depth"] == 0 and spans["after"]["parent"] is None
+        assert spans["c"]["parent_span_id"] == spans["b"]["span_id"]
+        assert spans["b"]["parent_span_id"] == spans["a"]["span_id"]
+        assert spans["a"]["parent_span_id"] is None
+        assert spans["a"]["trace_id"] == spans["b"]["trace_id"] == spans["c"]["trace_id"]
+        assert spans["after"]["parent_span_id"] is None
+        assert spans["after"]["trace_id"] != spans["a"]["trace_id"]
 
 
 class TestAbsorbEdgeCases:

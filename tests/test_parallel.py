@@ -182,7 +182,7 @@ class TestObsMerge:
         )
         serial_hist = serial["metrics"]["histograms"]["unit.hist"]
         process_hist = process["metrics"]["histograms"]["unit.hist"]
-        for moment in ("count", "total", "mean", "min", "max"):
+        for moment in ("count", "total", "mean", "min", "max", "p50", "p99"):
             assert process_hist[moment] == serial_hist[moment]
         assert [
             e["fields"]["index"] for e in process["events"] if e["name"] == "unit.evt"

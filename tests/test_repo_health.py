@@ -129,18 +129,23 @@ class TestTracingDocConsistency:
     names assembled by the serving and sharded layers."""
 
     def test_every_emitted_event_name_documented(self):
-        # Any `recorder.emit("some.name", ...)` literal in the source tree
-        # must appear in docs/observability.md — the catalogue IS the
-        # contract, and an undocumented event is a silent drift.
+        # Any `recorder.emit("some.name", ...)`, `span("some.name")` or
+        # `record_span("some.name", ...)` literal in the source tree must
+        # appear in docs/observability.md — the catalogue IS the contract,
+        # and an undocumented event or span is a silent drift.
         obs_text = (REPO_ROOT / "docs" / "observability.md").read_text()
-        pattern = re.compile(r"\.emit\(\s*['\"]([a-z0-9_.]+)['\"]")
+        patterns = [
+            re.compile(r"\.emit\(\s*['\"]([a-z0-9_.]+)['\"]"),
+            re.compile(r"\b(?:record_)?span\(\s*['\"]([a-z0-9_.]+)['\"]"),
+        ]
         missing = set()
         for path in sorted((REPO_ROOT / "src").rglob("*.py")):
-            for name in pattern.findall(path.read_text()):
+            text = path.read_text()
+            for name in (n for pattern in patterns for n in pattern.findall(text)):
                 if name not in obs_text:
                     missing.add(f"{name} (from {path.relative_to(REPO_ROOT)})")
         assert not missing, (
-            f"docs/observability.md misses emitted event names: {sorted(missing)}"
+            f"docs/observability.md misses emitted event or span names: {sorted(missing)}"
         )
 
     def test_lifecycle_span_names_documented(self):

@@ -197,6 +197,40 @@ class TestWaterfall:
         assert index[a_ctx.trace_id]["root"] == "alpha"
         assert a_ctx.trace_id in format_trace_index(rec)
 
+    def test_span_without_trace_identity_is_rejected(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace = {
+            "events": [
+                {"name": "span", "t": 1.0, "fields": {"span": "dim.epoch", "seconds": 0.5}}
+            ]
+        }
+        with pytest.raises(ValueError, match="dim.epoch"):
+            spans_of_trace(trace)
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(trace))
+        assert main(["obs", "waterfall", str(path)]) == 2
+        assert "no trace_id" in capsys.readouterr().err
+
+    def test_trace_index_lists_scis_training_spans(self, small_incomplete):
+        from repro.core import SCIS, DimConfig, ScisConfig
+        from repro.models import GAINImputer
+
+        config = ScisConfig(
+            initial_size=60, validation_size=60, dim=DimConfig(epochs=2), seed=0
+        )
+        with recording() as rec:
+            SCIS(GAINImputer(seed=0), config).fit_transform(small_incomplete)
+        index = trace_ids(rec)
+        [tid] = [t for t, info in index.items() if info["root"] == "scis.initial_train"]
+        assert "scis.initial_train" in format_trace_index(rec)
+        spans = spans_of_trace(rec, trace_id=tid)
+        [root] = [s for s in spans if s["parent_span_id"] is None]
+        epochs = [s for s in spans if s["name"] == "dim.epoch"]
+        assert len(epochs) == 2
+        assert all(s["parent_span_id"] == root["span_id"] for s in epochs)
+        assert "dim.epoch" in format_waterfall(rec, tid)
+
 
 class TestServingTraceAcceptance:
     def test_jsonl_session_spans_cover_wallclock_serial(self, served):
